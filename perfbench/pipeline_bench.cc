@@ -4,10 +4,11 @@
 //
 // A run: set up the stack several times (timed: setup_s), warm up with one
 // closed-loop pass over the seeded claim pool, then measure a closed loop
-// (claims_per_s) and two fixed-rate open loops (light, heavy; every claim timed
-// from its due time). Afterwards, outside every timed window, the correctness
-// gate replays each model's accepted order through a fresh in-process gateway
-// and compares every outcome bitwise.
+// (claims_per_s, per pool pass) and a fixed-rate light open loop over whole
+// passes of the pool (every claim timed from its due time). Afterwards,
+// outside every timed window, the correctness gate replays each model's
+// accepted order through a fresh in-process gateway and compares every outcome
+// bitwise.
 //
 // With --trace 1 the run reports per-layer metrics instead: an untraced closed
 // loop and light loop, then the same plus a heavy loop with tao's span stream
@@ -57,6 +58,9 @@ constexpr size_t kWindowPerClient = 8;
 constexpr auto kAckTimeout = std::chrono::seconds(20);
 constexpr auto kVerdictTimeout = std::chrono::seconds(40);
 constexpr int64_t kRateWindowNs = 500'000'000;
+// Tolerances of the traced run's accounting check (see LayerMetrics).
+constexpr double kMinAttributedFrac = 0.9;
+constexpr double kAccountedTolerance = 0.25;
 
 }  // namespace
 
@@ -290,6 +294,26 @@ std::vector<PoolClaim> MakePool(const Config& cfg, const Stack& stack) {
       verifier[members[order[j]]] = (j + j / devices + shift) % devices;
     }
   }
+  // How deep the perturbation sits decides how long its dispute runs, so the
+  // cheats' sites are spread evenly over the main model's operators (all but the
+  // last): a seeded offset, then one site every sites/cheats operators.
+  const tao::Graph& main_graph = *stack.models[0].model.graph;
+  const size_t sites = main_graph.num_ops() - 1;
+  std::vector<size_t> cheats;
+  for (size_t i = 0; i < n; ++i) {
+    if (cheat[i] && !cold[i]) cheats.push_back(i);
+  }
+  std::vector<size_t> site(n, 0);
+  {
+    const std::vector<size_t> order = rng.Permutation(cheats.size());
+    const double offset = rng.NextDouble();
+    for (size_t k = 0; k < cheats.size(); ++k) {
+      site[cheats[order[k]]] = std::min(
+          sites - 1, static_cast<size_t>((static_cast<double>(k) + offset) *
+                                         static_cast<double>(sites) /
+                                         static_cast<double>(cheats.size())));
+    }
+  }
   std::vector<PoolClaim> pool(n);
   for (size_t i = 0; i < n; ++i) {
     PoolClaim& entry = pool[i];
@@ -302,11 +326,10 @@ std::vector<PoolClaim> MakePool(const Config& cfg, const Stack& stack) {
     }
     if (cheat[i] && entry.slot == 0) {
       const tao::Graph& graph = *model.graph;
-      const tao::NodeId site = graph.op_nodes()[rng.NextBounded(
-          static_cast<uint64_t>(graph.num_ops() - 1))];
+      const tao::NodeId site_node = graph.op_nodes()[site[i]];
       tao::Rng delta_rng(rng.NextU64());
       entry.claim.perturbations.push_back(
-          {site, tao::Tensor::Randn(graph.node(site).shape, delta_rng, 5e-2f)});
+          {site_node, tao::Tensor::Randn(graph.node(site_node).shape, delta_rng, 5e-2f)});
     }
     if (cfg.wire) {
       tao::WireSubmit submit;
@@ -351,7 +374,7 @@ struct Sample {
   size_t slot = 0;
   int64_t due_ns = 0;
   int64_t sent_ns = 0;
-  int64_t ack_ns = 0;          // wire: SubmitAck arrived
+  int64_t ack_ns = 0;          // wire: SubmitAck arrived (the sender waits for it)
   int64_t submit_call_ns = 0;  // in-process: time inside ServingGateway::Submit
   int64_t done_ns = 0;         // verdict arrived at the client
   uint64_t ticket = 0;         // the model service's admission sequence
@@ -375,7 +398,7 @@ struct Phase {
   std::vector<Sample> samples;
   int64_t begin_ns = 0;
   int64_t end_ns = 0;  // closed loop: the measurement deadline
-  std::vector<double> window_rates;  // closed loop: claims/s per window
+  std::vector<double> pass_rates;  // closed loop: claims/s per pool pass
   LagStats lag;
   double cpu_util = 0.0;
 
@@ -403,12 +426,13 @@ class LoadGenerator {
   // Closed loop: ClosedClients() clients (one connection each on the wire), each
   // keeping kWindowPerClient claims outstanding. With `pool_once` the clients
   // share one pass over the pool (the warm-up); otherwise they cycle the pool
-  // until `seconds` elapse and then drain.
+  // from its first claim until `seconds` elapse and then drain.
   Phase RunClosed(const std::string& name, double seconds, bool pool_once) {
     Phase phase;
     phase.name = name;
     const size_t clients = ClosedClients();
     std::atomic<size_t> issued{0};
+    std::atomic<size_t> next_pool{0};
     std::mutex mu;
     const double cpu_begin = CpuSeconds();
     phase.begin_ns = Now();
@@ -425,7 +449,7 @@ class LoadGenerator {
             if (index >= pool_.size()) return;
           } else {
             if (Now() >= phase.end_ns) return;
-            index = next_pool_.fetch_add(1) % pool_.size();
+            index = next_pool.fetch_add(1) % pool_.size();
           }
           inflight.emplace_back();
           Flight& flight = inflight.back();
@@ -453,33 +477,30 @@ class LoadGenerator {
     const double wall = Ms(joined_ns - phase.begin_ns) / 1e3;
     phase.cpu_util = (CpuSeconds() - cpu_begin) / (std::max(wall, 1e-9) *
                                                    std::thread::hardware_concurrency());
-    // Throughput per window of kRateWindowNs up to the deadline: verdicts after
-    // the window's first one, over the time from that first to the last.
-    std::vector<std::vector<int64_t>> windows(
-        std::max<int64_t>(1, (phase.end_ns - phase.begin_ns) / kRateWindowNs));
+    // Throughput per pool pass: each block of pool-size completions before the
+    // deadline holds (nearly) every pool claim once, so every block is timed
+    // over the same cost mix. A phase shorter than one pass is timed as a whole.
+    std::vector<int64_t> done;
     for (const Sample& s : phase.samples) {
-      const int64_t k = (s.done_ns - phase.begin_ns) / kRateWindowNs;
-      if (s.finished && k >= 0 && k < static_cast<int64_t>(windows.size())) {
-        windows[static_cast<size_t>(k)].push_back(s.done_ns);
-      }
+      if (s.finished && s.done_ns <= phase.end_ns) done.push_back(s.done_ns);
     }
-    for (const std::vector<int64_t>& done : windows) {
-      const auto [first, last] = std::minmax_element(done.begin(), done.end());
-      if (done.size() >= 2 && *last > *first) {
-        phase.window_rates.push_back(static_cast<double>(done.size() - 1) / (Ms(*last - *first) / 1e3));
-      }
-    }
+    const size_t block = std::min(pool_.size(), std::max<size_t>(done.size(), 2) - 1);
+    phase.pass_rates = BlockRates(std::move(done), block);
     return phase;
   }
 
   // Open loop at a fixed rate: one sender thread follows the seeded schedule;
   // verdicts are stamped by one receiver per connection (wire) or by the
-  // ticket's delivery callback (in-process).
+  // ticket's delivery callback (in-process). The phase sends the whole passes
+  // over the pool, from its first claim, that come closest to `seconds`, so it
+  // always measures the same claim mix.
   Phase RunOpen(const std::string& name, double rate, double seconds, uint64_t tag) {
     Phase phase;
     phase.name = name;
     phase.open_loop = true;
-    const size_t count = std::max<size_t>(1, static_cast<size_t>(rate * seconds));
+    const size_t passes = std::max<size_t>(
+        1, static_cast<size_t>(std::llround(rate * seconds / static_cast<double>(pool_.size()))));
+    const size_t count = passes * pool_.size();
     const std::vector<int64_t> schedule = OpenLoopSchedule(cfg_.seed * 1000003 + tag, rate, count);
     std::vector<Flight> flights(count);
 
@@ -524,7 +545,7 @@ class LoadGenerator {
     for (size_t i = 0; i < count; ++i) {
       std::this_thread::sleep_until(origin + std::chrono::nanoseconds(schedule[i]));
       Flight& flight = flights[i];
-      flight.sample.pool_index = next_pool_.fetch_add(1) % pool_.size();
+      flight.sample.pool_index = i % pool_.size();
       flight.sample.due_ns = phase.begin_ns + schedule[i];
       const size_t slot = pool_[flight.sample.pool_index].slot;
       if (cfg_.wire) {
@@ -577,18 +598,27 @@ class LoadGenerator {
   }
 
  private:
-  // Submits the flight's pool claim: on `channel` over the wire, or through
-  // the gateway in-process. Stamps the send time.
+  // Submits the flight's pool claim and returns once it is admitted: on
+  // `channel` over the wire (Submit frame, then its SubmitAck, as
+  // RetriableChannel::Submit does), or through the gateway in-process. Stamps
+  // the send time and the admission time.
   void Send(Flight& flight, size_t channel, uint64_t submitter) {
     Sample& s = flight.sample;
     const PoolClaim& entry = pool_[s.pool_index];
     s.slot = entry.slot;
     s.sent_ns = Now();
     if (cfg_.wire) {
+      tao::ClientChannel& ch = *stack_.channels[channel];
       flight.request_id = ++request_ids_[channel];
-      if (!stack_.channels[channel]->SendSubmit(flight.request_id, entry.payload)) {
+      tao::WireSubmitAck ack;
+      if (!ch.SendSubmit(flight.request_id, entry.payload) ||
+          !ch.WaitAck(flight.request_id, ack, kAckTimeout)) {
         flight.request_id = 0;
+        return;
       }
+      s.ack_ns = Now();
+      s.accepted = ack.status == tao::WireStatus::kAccepted;
+      s.ticket = ack.ticket;
       return;
     }
     tao::GatewaySubmitResult result =
@@ -612,19 +642,11 @@ class LoadGenerator {
       }
       return;
     }
-    if (flight.request_id == 0) {
-      return;  // the send itself failed
+    if (flight.request_id == 0 || !s.accepted) {
+      return;  // the send failed or the claim was rejected
     }
-    tao::ClientChannel& ch = *stack_.channels[channel];
-    tao::WireSubmitAck ack;
-    if (!ch.WaitAck(flight.request_id, ack, kAckTimeout)) {
-      return;
-    }
-    s.ack_ns = Now();
-    s.accepted = ack.status == tao::WireStatus::kAccepted;
-    s.ticket = ack.ticket;
     tao::WireVerdict verdict;
-    if (s.accepted && ch.WaitVerdict(flight.request_id, verdict, kVerdictTimeout)) {
+    if (stack_.channels[channel]->WaitVerdict(flight.request_id, verdict, kVerdictTimeout)) {
       s.done_ns = Now();
       s.verdict = FromWire(verdict);
       s.finished = true;
@@ -635,7 +657,6 @@ class LoadGenerator {
   Stack& stack_;
   const std::vector<PoolClaim>& pool_;
   std::vector<uint64_t> request_ids_;  // per channel; one thread at a time each
-  std::atomic<size_t> next_pool_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -722,13 +743,13 @@ std::vector<double> Latencies(const Phase& phase) {
   return ms;
 }
 
-// Median window rate: one stalled or lucky window does not move it.
-double ClaimsPerSecond(const Phase& closed) { return Percentile(closed.window_rates, 0.5); }
+// Median pool-pass rate: one stalled or lucky pass does not move it.
+double ClaimsPerSecond(const Phase& closed) { return Percentile(closed.pass_rates, 0.5); }
 
 void PrintPhase(const Phase& phase) {
-  if (!phase.window_rates.empty()) {
-    std::fprintf(stderr, "  %-14s claims/s by window:", phase.name.c_str());
-    for (const double rate : phase.window_rates) std::fprintf(stderr, " %.0f", rate);
+  if (!phase.pass_rates.empty()) {
+    std::fprintf(stderr, "  %-14s claims/s by pool pass:", phase.name.c_str());
+    for (const double rate : phase.pass_rates) std::fprintf(stderr, " %.0f", rate);
     std::fprintf(stderr, "\n");
   }
   if (phase.open_loop) {
@@ -777,11 +798,14 @@ double MedianMicros(int repeats, Fn&& fn) {
 // ---------------------------------------------------------------------------
 // Per-layer attribution of traced claims.
 
+// The layer of a claim's time that no span covers.
+constexpr char kUnattributed[] = "unattributed";
+
 const std::vector<std::string>& LayerNames() {
   static const std::vector<std::string> names = {
       "loadgen",       "net",             "registry",             "service.admit",
       "service.queue", "protocol.phase1", "service.resolve_wait", "protocol.resolve",
-      "service.deliver"};
+      "service.deliver", kUnattributed};
   return names;
 }
 
@@ -817,13 +841,14 @@ constexpr KindInfo kKinds[] = {
 
 // A claim's span tree: the benchmark's own spans (root = due -> verdict at the
 // client, the generator's lag, the in-process gateway call) with the server's
-// spans for the same (model, ticket) hung under them. The root's own residual
-// is the wire (frames, submit pump, verdict push) on wire workloads and the
-// client's hand-off in-process; it counts as "net".
+// spans for the same (model, ticket) hung under them. On the wire two client
+// spans bound the network: send -> the server's admission begins, and the
+// server's delivery ends -> verdict at the client. What no span covers, the
+// root's own residual, is hand-off time between stages: kUnattributed.
 std::vector<NamedSpan> ClaimTree(const Sample& s, bool wire,
                                  const std::vector<tao::SpanRecord>& server) {
   std::vector<NamedSpan> tree;
-  tree.push_back({"claim", "net", {-1, s.due_ns, s.done_ns}});
+  tree.push_back({"claim", kUnattributed, {-1, s.due_ns, s.done_ns}});
   tree.push_back({"loadgen.lag", "loadgen", {0, s.due_ns, s.sent_ns}});
   int admit_parent = 0;
   if (!wire) {
@@ -839,6 +864,14 @@ std::vector<NamedSpan> ClaimTree(const Sample& s, bool wire,
       index[info.kind] = static_cast<int>(tree.size());
       tree.push_back({info.name, info.layer, {parent, r.begin_ns, r.end_ns}});
     }
+  }
+  if (wire && index.count(tao::SpanKind::kSubmit) > 0) {
+    const int64_t admitted = tree[static_cast<size_t>(index[tao::SpanKind::kSubmit])].span.begin_ns;
+    tree.push_back({"net.request", "net", {0, s.sent_ns, admitted}});
+  }
+  if (wire && index.count(tao::SpanKind::kDeliver) > 0) {
+    const int64_t delivered = tree[static_cast<size_t>(index[tao::SpanKind::kDeliver])].span.end_ns;
+    tree.push_back({"net.verdict", "net", {0, delivered, s.done_ns}});
   }
   return tree;
 }
@@ -880,8 +913,8 @@ std::vector<double> KindDurations(const Phase& phase, const Stack& stack,
 // Self time per layer summed over a phase's claims.
 struct Breakdown {
   std::map<std::string, double> layer_ns;
-  std::vector<double> path_ms;  // per claim: sum of its spans' self times
-  double attributed_ns = 0;     // self time of named layers (all but the root)
+  std::vector<double> attributed_ms;  // per claim: self time of its named layers
+  double attributed_ns = 0;           // self time of named layers (all but unattributed)
   double total_ns = 0;
   size_t joined = 0;  // claims whose chain has phase1, resolve and deliver spans
   size_t claims = 0;
@@ -903,18 +936,19 @@ Breakdown BreakDown(const Phase& phase, const Stack& stack, bool wire,
     const std::vector<NamedSpan> tree = ClaimTree(s, wire, it->second);
     const std::vector<int64_t> self = TreeSelfTimes(tree);
     bool has_phase1 = false, has_resolve = false, has_deliver = false;
-    int64_t sum = 0;
+    int64_t sum = 0, attributed = 0;
     for (size_t i = 0; i < tree.size(); ++i) {
       b.layer_ns[tree[i].layer] += static_cast<double>(self[i]);
       sum += self[i];
+      attributed += tree[i].layer == std::string(kUnattributed) ? 0 : self[i];
       has_phase1 |= tree[i].name == "protocol.phase1";
       has_resolve |= tree[i].name == "protocol.resolve";
       has_deliver |= tree[i].name == "service.deliver";
     }
     b.joined += (has_phase1 && has_resolve && has_deliver) ? 1 : 0;
-    b.path_ms.push_back(Ms(sum));
+    b.attributed_ms.push_back(Ms(attributed));
     b.total_ns += static_cast<double>(sum);
-    b.attributed_ns += static_cast<double>(sum - self[0]);
+    b.attributed_ns += static_cast<double>(attributed);
   }
   return b;
 }
@@ -1007,7 +1041,7 @@ std::vector<Metric> LayerMetrics(const Config& cfg, const Stack& stack,
     }
   }
 
-  // net
+  // net: the sender waits for each SubmitAck itself, so no verdict wait delays it.
   std::vector<double> ack_ms;
   for (const Sample& s : light_traced.samples) {
     if (s.accepted) ack_ms.push_back(cfg.wire ? Ms(s.ack_ns - s.sent_ns) : Ms(s.submit_call_ns));
@@ -1230,11 +1264,23 @@ std::vector<Metric> LayerMetrics(const Config& cfg, const Stack& stack,
   m.push_back({"open_loop.slo_met_frac.heavy",
                static_cast<double>(met) / std::max<size_t>(1, heavy_traced.samples.size()),
                "fraction"});
+  // Accounting: the named layers must cover most of each claim's latency
+  // (attributed_frac), and their median sum must come near the untraced
+  // verdict_p50_ms.light (accounted_ratio, which also carries tracing overhead).
+  const double attributed_frac = light.total_ns > 0 ? light.attributed_ns / light.total_ns : 0;
+  const double accounted_ratio =
+      untraced_p50 > 0 ? Percentile(light.attributed_ms, 0.5) / untraced_p50 : 0;
+  const bool accounted = attributed_frac >= kMinAttributedFrac &&
+                         std::abs(accounted_ratio - 1.0) <= kAccountedTolerance;
+  std::fprintf(stderr,
+               "accounting: named layers cover %.3f of the traced light latency (need >= %.2f); "
+               "their median sum is %.3f x the untraced light p50 (need 1 +- %.2f): %s\n",
+               attributed_frac, kMinAttributedFrac, accounted_ratio, kAccountedTolerance,
+               accounted ? "accounted" : "NOT ACCOUNTED");
   m.push_back({"trace.light_p50_ms", Percentile(light_ms, 0.5), "ms"});
-  m.push_back({"trace.accounted_ratio",
-               untraced_p50 > 0 ? Percentile(light.path_ms, 0.5) / untraced_p50 : 0, "ratio"});
-  m.push_back({"trace.attributed_frac", light.total_ns > 0 ? light.attributed_ns / light.total_ns : 0,
-               "fraction"});
+  m.push_back({"trace.attributed_frac", attributed_frac, "fraction"});
+  m.push_back({"trace.accounted_ratio", accounted_ratio, "ratio"});
+  m.push_back({"trace.accounted", accounted ? 1.0 : 0.0, "bool"});
   m.push_back({"trace.joined_frac",
                light.claims > 0 ? static_cast<double>(light.joined) / light.claims : 0, "fraction"});
   m.push_back({"trace.overhead_claims_per_s",

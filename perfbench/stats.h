@@ -84,6 +84,26 @@ inline std::vector<int64_t> OpenLoopSchedule(uint64_t seed, double rate, size_t 
   return due;
 }
 
+// Closed-loop throughput per block of `block` consecutive completions: block k
+// spans completions k*block .. (k+1)*block (sorted by time) and its rate is
+// block / (its last minus its first completion time), in claims per second.
+// A block of one pool pass holds every claim of the pool once, so each rate is
+// taken over the same cost mix. A trailing partial block is dropped.
+inline std::vector<double> BlockRates(std::vector<int64_t> done_ns, size_t block) {
+  std::vector<double> rates;
+  if (block == 0) {
+    return rates;
+  }
+  std::sort(done_ns.begin(), done_ns.end());
+  for (size_t first = 0; first + block < done_ns.size(); first += block) {
+    const int64_t span_ns = done_ns[first + block] - done_ns[first];
+    if (span_ns > 0) {
+      rates.push_back(static_cast<double>(block) * 1e9 / static_cast<double>(span_ns));
+    }
+  }
+  return rates;
+}
+
 // How late the generator ran: per send, max(0, sent - due).
 struct LagStats {
   double p99_ms = 0.0;

@@ -78,6 +78,21 @@ TEST(ScheduleTest, LagCountsOnlyLateSends) {
   EXPECT_TRUE(GeneratorFellBehind(lag, 8.5));
 }
 
+TEST(BlockRatesTest, OneRatePerWholeBlock) {
+  // Completions at 0 10 20 30 50 60 70 ms, given unsorted. Blocks of three
+  // span 0->30 ms (100/s) and 30->70 ms (75/s).
+  const std::vector<int64_t> done = {60'000'000, 0, 10'000'000, 20'000'000,
+                                     30'000'000, 50'000'000, 70'000'000};
+  const std::vector<double> rates = BlockRates(done, 3);
+  ASSERT_EQ(rates.size(), 2u);
+  EXPECT_DOUBLE_EQ(rates[0], 100.0);
+  EXPECT_DOUBLE_EQ(rates[1], 75.0);
+  // A trailing partial block is dropped; too few completions give no rate.
+  EXPECT_EQ(BlockRates(done, 4).size(), 1u);
+  EXPECT_TRUE(BlockRates(done, 7).empty());
+  EXPECT_TRUE(BlockRates(done, 0).empty());
+}
+
 TEST(SelfTimeTest, ParentMinusCoveredChildInterval) {
   // root [0,100] with overlapping children [10,30] and [20,50] (union 40) and a
   // child running past the root's end [90,130] (clipped to [90,100]), whose own
