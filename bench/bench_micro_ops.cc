@@ -1,6 +1,7 @@
 // Operator-level microbenchmarks: per-op GFLOP/s under the scalar backend vs the
 // runtime-dispatched SIMD backend, on the fleet's vector-eligible profile (RTX6000,
-// kStridedVector = the fixed 8-lane reduction tree).
+// kStridedVector = the fixed 8-lane reduction tree), plus the dense kernels at the
+// model zoo's shapes on every fleet profile and the reference.
 //
 // The SIMD backend is only admissible because it is bitwise identical to the scalar
 // fixed-tree loops (src/device/simd.h); the last column re-checks that here, on the
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -372,6 +374,64 @@ int main(int argc, char** argv) {
   }
   oplvl.Print();
   json.AddBool("op_bitwise_all", op_bitwise_all);
+
+  // --- Dense kernels on every profile ---------------------------------------------
+  // The model zoo's dense shapes on each fleet profile and the reference. The scalar
+  // column is the per-output DotStrided reference; the dispatched column runs the lane
+  // kernels (one output per lane) on non-eligible profiles and the 8-lane tree on
+  // RTX6000.
+  std::printf("\ndense kernels per profile (scalar reference vs %s dispatch):\n",
+              SimdBackendName(fast));
+  std::vector<DeviceProfile> profiles = DeviceRegistry::Fleet();
+  profiles.push_back(DeviceRegistry::Reference());
+  Attrs same_pad, no_pad;
+  same_pad.Set("stride", static_cast<int64_t>(1));
+  same_pad.Set("padding", static_cast<int64_t>(1));
+  no_pad.Set("stride", static_cast<int64_t>(1));
+  no_pad.Set("padding", static_cast<int64_t>(0));
+  const std::vector<std::pair<const char*, OpCase>> dense = {
+      {"bert", {"linear", {Shape{24, 48}, Shape{96, 48}, Shape{96}}, {}, 1.0f}},
+      {"bert", {"linear", {Shape{1, 48}, Shape{16, 48}, Shape{16}}, {}, 1.0f}},
+      {"bert", {"matmul", {Shape{24, 48}, Shape{48, 96}}, {}, 1.0f}},
+      {"bert", {"bmm", {Shape{4, 24, 12}, Shape{4, 12, 24}}, {}, 1.0f}},
+      {"resnet", {"conv2d", {Shape{1, 3, 32, 32}, Shape{8, 3, 3, 3}, Shape{8}}, same_pad, 1.0f}},
+      {"resnet", {"conv2d", {Shape{1, 8, 16, 16}, Shape{8, 8, 3, 3}, Shape{8}}, same_pad, 1.0f}},
+      {"resnet", {"conv2d", {Shape{1, 16, 16, 16}, Shape{32, 16, 1, 1}, Shape{32}}, no_pad, 1.0f}},
+      {"wide", {"linear", {Shape{1, 16384}, Shape{64, 16384}, Shape{64}}, {}, 1.0f}},
+  };
+  bool lanes_bitwise_all = true;
+  TablePrinter dense_table({"model", "op", "shape", "profile", "scalar ref ms",
+                            "dispatched ms", "speedup", "bitwise"});
+  for (const auto& [model, c] : dense) {
+    const OpKernel& kernel = OpRegistry::Instance().Get(c.op);
+    std::vector<Tensor> inputs;
+    for (size_t i = 0; i < c.shapes.size(); ++i) {
+      inputs.push_back(RandTensor(c.shapes[i], 0xd3e5 + 17 * i, c.scale));
+    }
+    for (const DeviceProfile& profile : profiles) {
+      const OpContext ctx{profile, inputs, c.attrs};
+      Tensor scalar_out, fast_out;
+      double scalar_ms = 0.0, fast_ms = 0.0;
+      {
+        ScopedSimdBackend force(SimdBackend::kScalar);
+        scalar_out = kernel.Forward(ctx);
+        scalar_ms = TimeLoop([&] { (void)kernel.Forward(ctx); });
+      }
+      {
+        ScopedSimdBackend force(fast);
+        fast_out = kernel.Forward(ctx);
+        fast_ms = TimeLoop([&] { (void)kernel.Forward(ctx); });
+      }
+      const bool bitwise = Bitwise(scalar_out, fast_out);
+      lanes_bitwise_all = lanes_bitwise_all && bitwise;
+      dense_table.AddRow({model, c.op, ShapeString(c.shapes), profile.name,
+                          TablePrinter::Fixed(scalar_ms, 4), TablePrinter::Fixed(fast_ms, 4),
+                          TablePrinter::Fixed(scalar_ms / fast_ms, 2) + "x",
+                          bitwise ? "equal" : "DIFFER"});
+    }
+  }
+  dense_table.Print();
+  json.AddBool("lanes_bitwise_all", lanes_bitwise_all);
 
   std::printf("\nDeterminism note: every \"equal\" above is bitwise FP32 equality on\n"
               "the timed tensors. The SIMD backend is not an approximation — it is the\n"

@@ -63,8 +63,9 @@ struct DeviceProfile {
 
   // True when this profile's reduction order is exactly the fixed 8-lane tree a vector
   // unit executes natively (kStridedVector, or kStrided with block == 8). Only such
-  // profiles may take the SIMD reduction path; all others must stay scalar because a
-  // vector unit cannot reproduce their association order bit for bit.
+  // profiles may split ONE reduction across vector lanes; splitting any other order
+  // would reassociate it. Their dense kernels vectorize across outputs instead, one
+  // whole reduction per lane (simd::DotLanes).
   bool vector_eligible() const {
     return order == AccumulationOrder::kStridedVector ||
            (order == AccumulationOrder::kStrided && block == 8);
@@ -76,7 +77,8 @@ struct DeviceProfile {
   float Accumulate(std::span<const float> xs) const;
   // Inner product <a, b> in this device's order and FMA policy.
   float Dot(std::span<const float> a, std::span<const float> b) const;
-  // Strided inner product for matmul inner loops: a[i*stride_a], b[i*stride_b].
+  // Strided inner product for matmul inner loops: a[i*stride_a], b[i*stride_b]. This is
+  // the reference semantics simd::DotLanes reproduces eight outputs at a time.
   float DotStrided(const float* a, int64_t stride_a, const float* b, int64_t stride_b,
                    int64_t n) const;
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/device/device.h"
 #include "src/util/check.h"
 
 // The AVX2 paths are compiled behind a target attribute so the translation unit builds
@@ -21,6 +22,10 @@
 
 #if TAO_SIMD_X86
 #define TAO_TARGET_AVX2 __attribute__((target("avx2")))
+// The lane kernels of every profile share one target because a target cannot vary by
+// template argument. Their unfused vmulps/vaddps pairs stay unfused because the build
+// pins -ffp-contract=off (see the top-level CMakeLists).
+#define TAO_TARGET_AVX2_FMA __attribute__((target("avx2,fma")))
 #endif
 
 namespace tao {
@@ -32,6 +37,14 @@ std::atomic<int> g_forced_backend{-1};
 bool CpuHasAvx2() {
 #if TAO_SIMD_X86
   return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+bool CpuHasFma() {
+#if TAO_SIMD_X86
+  return __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
@@ -72,6 +85,17 @@ SimdBackend ActiveSimdBackend() {
   static const SimdBackend detected = DetectBackend();
   return detected;
 }
+
+namespace {
+
+// The lane kernels use the AVX2 backend plus FMA; a CPU without FMA runs every
+// profile's lanes through the scalar reference.
+bool LaneKernelsActive() {
+  static const bool has_fma = CpuHasFma();
+  return has_fma && ActiveSimdBackend() == SimdBackend::kAvx2;
+}
+
+}  // namespace
 
 const char* SimdBackendName(SimdBackend backend) {
   switch (backend) {
@@ -269,6 +293,239 @@ float DotStrided8(const float* a, int64_t stride_a, const float* b, int64_t stri
   }
 #endif
   return DotStrided8Scalar(a, stride_a, b, stride_b, n);
+}
+
+// ---- Multi-output lane kernels -----------------------------------------------------
+//
+// Lane l of every vector below carries output l, so each lane runs one whole scalar
+// reduction of DeviceProfile::DotStrided: the same staged products, the same
+// association order and the same operand order. Nothing is reassociated across lanes,
+// which is why every order vectorizes this way, and no buffer grows with n.
+
+#if TAO_SIMD_X86
+
+// The per-order kernels stay out of line: inlined into the dispatcher, GCC kept the
+// chain accumulators in a stack slot, tripling the latency of every step.
+#define TAO_LANE_ORDER TAO_TARGET_AVX2_FMA __attribute__((noinline))
+
+namespace {
+
+// b operands of eight whole lanes at consecutive addresses: lane l reads b[l + i*step].
+struct RowLanes {
+  const float* b;
+  int64_t step;
+
+  TAO_TARGET_AVX2_FMA __m256 Load(int64_t i) const { return _mm256_loadu_ps(b + i * step); }
+};
+
+// Lane l reads b[offsets[l] + i*step]; masked-off lanes (l >= lanes) are never read.
+struct GatherLanes {
+  const float* b;
+  int64_t step;
+  __m256i offsets;
+  __m256 mask;
+
+  TAO_TARGET_AVX2_FMA __m256 Load(int64_t i) const {
+    return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), b + i * step, offsets, mask, 4);
+  }
+};
+
+// The product DotStrided stages for the tree, blocked and strided orders: fl(a*b), or
+// fmaf(a, b, 0) on fused profiles.
+template <bool kFma, class Lanes>
+TAO_TARGET_AVX2_FMA inline __m256 StagedProduct(const float* a, int64_t stride_a,
+                                                const Lanes& b, int64_t i) {
+  const __m256 va = _mm256_set1_ps(a[i * stride_a]);
+  if constexpr (kFma) {
+    return _mm256_fmadd_ps(va, b.Load(i), _mm256_setzero_ps());
+  } else {
+    return _mm256_mul_ps(va, b.Load(i));
+  }
+}
+
+// ((+0 + p[begin]) + p[begin + step]) + ... over indices < end.
+template <bool kFma, class Lanes>
+TAO_TARGET_AVX2_FMA inline __m256 StagedSum(const float* a, int64_t stride_a,
+                                            const Lanes& b, int64_t begin, int64_t end,
+                                            int64_t step) {
+  __m256 acc = _mm256_setzero_ps();
+  for (int64_t i = begin; i < end; i += step) {
+    acc = _mm256_add_ps(acc, StagedProduct<kFma>(a, stride_a, b, i));
+  }
+  return acc;
+}
+
+// kSequential / kReversed fold every product into one accumulator:
+// acc = fmaf(a, b, acc) on fused profiles, acc + fl(a*b) otherwise.
+template <bool kFma, class Lanes>
+TAO_LANE_ORDER __m256 ChainLanes(const float* a, int64_t stride_a, const Lanes& b, int64_t n,
+                                 bool reversed) {
+  const int64_t step = reversed ? -1 : 1;
+  __m256 acc = _mm256_setzero_ps();
+  for (int64_t t = 0, i = reversed ? n - 1 : 0; t < n; ++t, i += step) {
+    if constexpr (kFma) {
+      acc = _mm256_fmadd_ps(_mm256_set1_ps(a[i * stride_a]), b.Load(i), acc);
+    } else {
+      acc = _mm256_add_ps(acc, StagedProduct<false>(a, stride_a, b, i));
+    }
+  }
+  return acc;
+}
+
+// SumPairwise over a fixed-size run of staged products, unrolled at compile time.
+template <int64_t kN, bool kFma, class Lanes>
+TAO_TARGET_AVX2_FMA inline __m256 TreeLeaves(const float* a, int64_t stride_a,
+                                             const Lanes& b, int64_t begin) {
+  if constexpr (kN == 1) {
+    return StagedProduct<kFma>(a, stride_a, b, begin);
+  } else {
+    constexpr int64_t kHalf = kN / 2;
+    return _mm256_add_ps(TreeLeaves<kHalf, kFma>(a, stride_a, b, begin),
+                         TreeLeaves<kN - kHalf, kFma>(a, stride_a, b, begin + kHalf));
+  }
+}
+
+// TreeLeaves<n> for a run length n <= kN known only at run time.
+template <int64_t kN, bool kFma, class Lanes>
+TAO_TARGET_AVX2_FMA inline __m256 TreeUnrolled(const float* a, int64_t stride_a,
+                                               const Lanes& b, int64_t begin, int64_t n) {
+  if constexpr (kN == 0) {
+    return _mm256_setzero_ps();
+  } else {
+    return n == kN ? TreeLeaves<kN, kFma>(a, stride_a, b, begin)
+                   : TreeUnrolled<kN - 1, kFma>(a, stride_a, b, begin, n);
+  }
+}
+
+// kPairwiseTree: SumPairwise's floor(n/2) split on lane vectors, recursing down to
+// runs of at most 16 that are evaluated unrolled. A one-product leaf is the product
+// itself, not +0 + product, which is why fused profiles must stage fmaf(a, b, 0) here:
+// it turns an exact -0 product into +0 just as the reference does.
+template <bool kFma, class Lanes>
+TAO_LANE_ORDER __m256 TreeLanes(const float* a, int64_t stride_a, const Lanes& b,
+                                int64_t begin, int64_t n) {
+  if (n <= 16) {
+    return TreeUnrolled<16, kFma>(a, stride_a, b, begin, n);
+  }
+  const int64_t half = n / 2;
+  return _mm256_add_ps(TreeLanes<kFma>(a, stride_a, b, begin, half),
+                       TreeLanes<kFma>(a, stride_a, b, begin + half, n - half));
+}
+
+// kBlocked: a +0-seeded partial per block, added in order into a +0-seeded total.
+template <bool kFma, class Lanes>
+TAO_LANE_ORDER __m256 BlockedLanes(const float* a, int64_t stride_a, const Lanes& b,
+                                   int64_t n, int64_t block) {
+  __m256 acc = _mm256_setzero_ps();
+  for (int64_t begin = 0; begin < n;) {
+    const int64_t end = begin + std::min(block, n - begin);
+    acc = _mm256_add_ps(acc, StagedSum<kFma>(a, stride_a, b, begin, end, 1));
+    begin = end;
+  }
+  return acc;
+}
+
+// kStrided(S): n <= S sums sequentially; otherwise accumulator j folds indices
+// j, j + S, ... and the S accumulators combine left to right. Finishing one
+// accumulator before starting the next performs the same additions as interleaving
+// them, without S live registers.
+template <bool kFma, class Lanes>
+TAO_LANE_ORDER __m256 StridedLanes(const float* a, int64_t stride_a, const Lanes& b,
+                                   int64_t n, int64_t accumulators) {
+  if (n <= accumulators) {
+    return StagedSum<kFma>(a, stride_a, b, 0, n, 1);
+  }
+  __m256 total = _mm256_setzero_ps();
+  for (int64_t j = 0; j < accumulators; ++j) {
+    total = _mm256_add_ps(total, StagedSum<kFma>(a, stride_a, b, j, n, accumulators));
+  }
+  return total;
+}
+
+template <bool kFma, class Lanes>
+TAO_TARGET_AVX2_FMA void ReduceLanes(const DeviceProfile& device, const float* a,
+                                     int64_t stride_a, const Lanes& b, int64_t n,
+                                     int64_t lanes, float* out) {
+  __m256 sums = _mm256_setzero_ps();
+  switch (device.order) {
+    case AccumulationOrder::kSequential:
+      sums = ChainLanes<kFma>(a, stride_a, b, n, /*reversed=*/false);
+      break;
+    case AccumulationOrder::kReversed:
+      sums = ChainLanes<kFma>(a, stride_a, b, n, /*reversed=*/true);
+      break;
+    case AccumulationOrder::kPairwiseTree:
+      sums = TreeLanes<kFma>(a, stride_a, b, 0, n);
+      break;
+    case AccumulationOrder::kBlocked:
+      sums = BlockedLanes<kFma>(a, stride_a, b, n, device.block);
+      break;
+    case AccumulationOrder::kStrided:
+    case AccumulationOrder::kStridedVector:  // vector-eligible: never dispatched here
+      sums = StridedLanes<kFma>(a, stride_a, b, n, device.block);
+      break;
+  }
+  alignas(32) float lane_sums[kLanes];
+  _mm256_store_ps(lane_sums, sums);
+  std::copy(lane_sums, lane_sums + lanes, out);
+}
+
+template <bool kFma>
+TAO_TARGET_AVX2_FMA void DotLanesAvx2(const DeviceProfile& device, const float* a,
+                                      int64_t stride_a, const float* b,
+                                      int64_t lane_stride, int64_t stride_b, int64_t n,
+                                      int64_t lanes, float* out) {
+  if (lane_stride == 1 && lanes == kLanes) {
+    ReduceLanes<kFma>(device, a, stride_a, RowLanes{b, stride_b}, n, lanes, out);
+    return;
+  }
+  const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const GatherLanes gathered{
+      b, stride_b,
+      _mm256_mullo_epi32(lane_ids, _mm256_set1_epi32(static_cast<int32_t>(lane_stride))),
+      _mm256_castsi256_ps(
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int32_t>(lanes)), lane_ids))};
+  ReduceLanes<kFma>(device, a, stride_a, gathered, n, lanes, out);
+}
+
+}  // namespace
+
+#endif  // TAO_SIMD_X86
+
+void DotLanes(const DeviceProfile& device, const float* a, int64_t stride_a,
+              const float* b, int64_t lane_stride, int64_t stride_b, int64_t n,
+              int64_t lanes, float* out) {
+  TAO_CHECK(lanes >= 1 && lanes <= kLanes) << "DotLanes takes 1 to 8 lanes, got " << lanes;
+#if TAO_SIMD_X86
+  // Blocked and strided orders with block <= 0 take the reference, which rejects them.
+  const bool has_block = device.order == AccumulationOrder::kBlocked ||
+                         device.order == AccumulationOrder::kStrided;
+  if (!device.vector_eligible() && (!has_block || device.block > 0) && lane_stride > 0 &&
+      lane_stride <= kMaxGatherStride && LaneKernelsActive()) {
+    if (device.fma) {
+      DotLanesAvx2<true>(device, a, stride_a, b, lane_stride, stride_b, n, lanes, out);
+    } else {
+      DotLanesAvx2<false>(device, a, stride_a, b, lane_stride, stride_b, n, lanes, out);
+    }
+    return;
+  }
+#endif
+  for (int64_t l = 0; l < lanes; ++l) {
+    out[l] = device.DotStrided(a, stride_a, b + l * lane_stride, stride_b, n);
+  }
+}
+
+void PackLanes(const float* w, int64_t rows, int64_t k, float* packed) {
+  const int64_t groups = (rows + kLanes - 1) / kLanes;
+  for (int64_t g = 0; g < groups; ++g) {
+    float* dst = packed + g * kLanes * k;
+    for (int64_t l = 0; l < kLanes; ++l) {
+      const int64_t row = g * kLanes + l;
+      for (int64_t p = 0; p < k; ++p) {
+        dst[p * kLanes + l] = row < rows ? w[row * k + p] : 0.0f;
+      }
+    }
+  }
 }
 
 // ---- Exact elementwise helpers -----------------------------------------------------

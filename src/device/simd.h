@@ -9,8 +9,11 @@
 // `AccumulationOrder::kStrided` with `block = 8` (aliased as `kStridedVector` in the
 // profile table). One AVX2 ymm register holds the eight lanes, so the vector loop and
 // the scalar loop perform the *same additions in the same order*; they can only differ
-// in speed. Profiles whose order a vector unit cannot reproduce exactly (kSequential,
-// kPairwiseTree, kBlocked, kStrided with block != 8) always take the scalar path.
+// in speed. A vector unit cannot split one reduction of the other orders (kSequential,
+// kReversed, kPairwiseTree, kBlocked, kStrided with block != 8) across lanes without
+// reassociating it, so those profiles vectorize across outputs instead: DotLanes runs
+// up to eight whole reductions side by side, one per lane, each in the profile's own
+// order.
 //
 // Dispatch is decided once at startup from CPUID (plus the TAO_DISABLE_SIMD
 // environment escape hatch) and reported through LogSimdBackendOnce() and the
@@ -26,6 +29,8 @@
 #include <optional>
 
 namespace tao {
+
+struct DeviceProfile;  // src/device/device.h
 
 enum class SimdBackend {
   kScalar,  // portable fixed-tree loops; the always-correct fallback
@@ -83,6 +88,30 @@ float SumStrided8(const float* x, int64_t n);
 // zero product cannot propagate through lane accumulators that start at +0).
 float DotStrided8(const float* a, int64_t stride_a, const float* b, int64_t stride_b,
                   int64_t n);
+
+// --- Multi-output inner products (every profile) ------------------------------------
+
+// Outputs per DotLanes call: one per AVX2 lane.
+inline constexpr int64_t kLanes = 8;
+
+// Up to kLanes inner products sharing the `a` operand, bit for bit equal to
+//   out[l] = device.DotStrided(a, stride_a, b + l * lane_stride, stride_b, n)
+// for l < lanes, on every profile and backend. On AVX2+FMA hosts, profiles that are
+// not vector_eligible() compute all lanes at once: lane l performs exactly the IEEE
+// operations of the profile's scalar reduction of output l (same staged products,
+// same association order, same operand order), and lanes past `lanes` are masked so
+// they never read b. Vector-eligible profiles, the scalar backend and CPUs without
+// FMA evaluate the lanes one by one through DotStrided.
+void DotLanes(const DeviceProfile& device, const float* a, int64_t stride_a,
+              const float* b, int64_t lane_stride, int64_t stride_b, int64_t n,
+              int64_t lanes, float* out);
+
+// Packs a row-major [rows, k] matrix into groups of kLanes interleaved rows:
+// packed[(g * k + p) * kLanes + l] = w[(g * kLanes + l) * k + p], zero past the last
+// row. Group g then feeds DotLanes(device, a, 1, packed + g * kLanes * k, 1, kLanes,
+// k, lanes, out) with one contiguous vector per index. `packed` holds
+// ceil(rows / kLanes) * kLanes * k floats.
+void PackLanes(const float* w, int64_t rows, int64_t k, float* packed);
 
 // --- Exact elementwise helpers (safe for every profile and backend) -----------------
 //

@@ -6,6 +6,7 @@
 // arithmetic contributes one fresh rounding u·|out|; library intrinsics contribute
 // their vendor-stated maximum-ULP error. Neg is exact (sign-bit flip).
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -41,6 +42,24 @@ class BinaryKernel : public OpKernel {
     if (a.shape() == out_shape && b.shape() == out_shape) {
       ctx.For(out.numel(), [&](int64_t begin, int64_t end) {
         ApplyVec(av.data() + begin, bv.data() + begin, ov.data() + begin, end - begin);
+      });
+      return out;
+    }
+    // One operand is a single element (e.g. attention's scale): splat it into a small
+    // buffer and stream the other operand through ApplyVec, without per-element
+    // broadcast index arithmetic.
+    if ((a.shape() == out_shape && b.numel() == 1) ||
+        (b.shape() == out_shape && a.numel() == 1)) {
+      const bool scalar_b = b.numel() == 1 && a.shape() == out_shape;
+      constexpr int64_t kSplat = 64;
+      float splat[kSplat];
+      std::fill(splat, splat + kSplat, scalar_b ? bv[0] : av[0]);
+      ctx.For(out.numel(), [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; i += kSplat) {
+          const int64_t len = std::min(kSplat, end - i);
+          ApplyVec(scalar_b ? av.data() + i : splat, scalar_b ? splat : bv.data() + i,
+                   ov.data() + i, len);
+        }
       });
       return out;
     }

@@ -73,6 +73,12 @@ class TransposeKernel : public OpKernel {
     const Shape& x = input_shapes[0];
     const std::vector<int64_t> perm = attrs.GetInts("perm");
     TAO_CHECK_EQ(static_cast<int64_t>(perm.size()), x.rank());
+    std::vector<bool> seen(perm.size(), false);
+    for (const int64_t axis : perm) {
+      TAO_CHECK(axis >= 0 && axis < x.rank() && !seen[static_cast<size_t>(axis)])
+          << "transpose perm is not a permutation of [0, " << x.rank() << ")";
+      seen[static_cast<size_t>(axis)] = true;
+    }
     std::vector<int64_t> dims(perm.size());
     for (size_t i = 0; i < perm.size(); ++i) {
       dims[i] = x.dim(perm[i]);
@@ -84,17 +90,37 @@ class TransposeKernel : public OpKernel {
     const Tensor& x = ctx.inputs[0];
     const std::vector<int64_t> perm = ctx.attrs.GetInts("perm");
     const Shape out_shape = InferShape({x.shape()}, ctx.attrs);
-    Tensor out(out_shape);
-    const auto in_strides = x.shape().Strides();
+    Tensor out = ctx.AllocateOutput(out_shape);
     const auto xv = x.values();
     auto ov = out.mutable_values();
-    for (int64_t o = 0; o < out.numel(); ++o) {
-      const std::vector<int64_t> out_idx = out_shape.Delinearize(o);
-      int64_t in_off = 0;
-      for (size_t a = 0; a < perm.size(); ++a) {
-        in_off += out_idx[a] * in_strides[static_cast<size_t>(perm[a])];
+    if (out.numel() == 0) {
+      return out;
+    }
+    // Walk the output in order with an odometer over its coordinates; `strides[a]` is
+    // the input step of output axis a, so the input offset follows incrementally.
+    const std::vector<int64_t> in_strides = x.shape().Strides();
+    const int64_t rank = out_shape.rank();
+    std::vector<int64_t> strides(static_cast<size_t>(rank));
+    for (size_t a = 0; a < strides.size(); ++a) {
+      strides[a] = in_strides[static_cast<size_t>(perm[a])];
+    }
+    const int64_t inner = rank == 0 ? 1 : out_shape.dim(rank - 1);
+    const int64_t inner_stride = rank == 0 ? 0 : strides.back();
+    std::vector<int64_t> idx(static_cast<size_t>(rank), 0);
+    int64_t in_off = 0;
+    for (int64_t o = 0; o < out.numel(); o += inner) {
+      for (int64_t t = 0; t < inner; ++t) {
+        ov[static_cast<size_t>(o + t)] = xv[static_cast<size_t>(in_off + t * inner_stride)];
       }
-      ov[static_cast<size_t>(o)] = xv[static_cast<size_t>(in_off)];
+      for (int64_t a = rank - 2; a >= 0; --a) {
+        const size_t s = static_cast<size_t>(a);
+        if (++idx[s] < out_shape.dim(a)) {
+          in_off += strides[s];
+          break;
+        }
+        in_off -= (idx[s] - 1) * strides[s];
+        idx[s] = 0;
+      }
     }
     return out;
   }

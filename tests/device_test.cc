@@ -4,10 +4,16 @@
 // be BITWISE identical to the scalar fixed-tree loops — commitments hash exact FP32
 // values, so "close" is not good enough; every equality below is on bit patterns.
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -299,6 +305,145 @@ TEST_F(SimdEquivalenceTest, DotBitwiseAcrossSizesStridesAndAlignments) {
   }
 }
 
+// One profile per reduction order and FMA policy: the blocked and strided block sizes
+// divide none of SimdSizes(), and kStrided(4) exercises S accumulators with S != 8.
+std::vector<DeviceProfile> LaneTestProfiles() {
+  std::vector<DeviceProfile> profiles;
+  const std::pair<AccumulationOrder, int64_t> orders[] = {
+      {AccumulationOrder::kSequential, 0}, {AccumulationOrder::kReversed, 0},
+      {AccumulationOrder::kPairwiseTree, 0}, {AccumulationOrder::kBlocked, 7},
+      {AccumulationOrder::kStrided, 4},      {AccumulationOrder::kStridedVector, 8}};
+  for (const auto& [order, block] : orders) {
+    for (const bool fma : {false, true}) {
+      DeviceProfile p = DeviceRegistry::Reference();
+      p.order = order;
+      p.block = block;
+      p.fma = fma;
+      p.name = std::to_string(static_cast<int>(order)) + (fma ? "+fma" : "");
+      profiles.push_back(p);
+    }
+  }
+  return profiles;
+}
+
+// A float buffer whose last element sits directly before an inaccessible page, so any
+// read past the operand faults.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(const std::vector<float>& values) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t bytes = values.size() * sizeof(float);
+    size_ = (bytes + page - 1) / page * page + page;
+    void* base =
+        mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(base, MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    EXPECT_EQ(mprotect(base_ + size_ - page, page, PROT_NONE), 0);
+    data_ = reinterpret_cast<float*>(base_ + size_ - page - bytes);
+    std::copy(values.begin(), values.end(), data_);
+  }
+  ~GuardedFloats() { munmap(base_, size_); }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+
+  const float* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t size_ = 0;
+  float* data_ = nullptr;
+};
+
+TEST_F(SimdEquivalenceTest, DotLanesBitwiseAgainstPerLaneReference) {
+  struct Layout {
+    const char* name;
+    int64_t stride_a;
+    // lane_stride and stride_b as functions of the reduction length.
+    int64_t (*lane_stride)(int64_t n);
+    int64_t (*stride_b)(int64_t n);
+  };
+  const Layout layouts[] = {
+      // Packed lane groups and matmul's B rows: lane l at b[l], index i one row down.
+      {"contiguous", 1, [](int64_t) -> int64_t { return 1; },
+       [](int64_t) -> int64_t { return 8; }},
+      {"contiguous-rows", 3, [](int64_t) -> int64_t { return 1; },
+       [](int64_t) -> int64_t { return 11; }},
+      // Weights read in place: lane l is row l of a row-major [lanes, n] matrix.
+      {"strided", 1, [](int64_t n) { return std::max<int64_t>(n, 1); },
+       [](int64_t) -> int64_t { return 1; }},
+  };
+  const auto check = [](const DeviceProfile& profile, const Layout& layout, int64_t n,
+                        const std::vector<float>& a, int64_t lanes) {
+    const int64_t lane_stride = layout.lane_stride(n);
+    const int64_t stride_b = layout.stride_b(n);
+    // b ends exactly at the last element lane lanes-1 reads.
+    const int64_t b_size =
+        std::max<int64_t>(n - 1, 0) * stride_b + (lanes - 1) * lane_stride + 1;
+    const GuardedFloats b(HardVector(static_cast<size_t>(b_size), 0x2b9e + n));
+    float want[simd::kLanes];
+    {
+      ScopedSimdBackend force(SimdBackend::kScalar);
+      for (int64_t l = 0; l < lanes; ++l) {
+        want[l] = profile.DotStrided(a.data(), layout.stride_a, b.data() + l * lane_stride,
+                                     stride_b, n);
+      }
+    }
+    float got[simd::kLanes + 1];
+    std::fill(std::begin(got), std::end(got), 42.0f);
+    {
+      ScopedSimdBackend force(SimdBackend::kAvx2);
+      simd::DotLanes(profile, a.data(), layout.stride_a, b.data(), lane_stride, stride_b,
+                     n, lanes, got);
+    }
+    for (int64_t l = 0; l < lanes; ++l) {
+      ASSERT_TRUE(BitEq(want[l], got[l])) << profile.name << " " << layout.name
+                                          << " n=" << n << " lanes=" << lanes << " lane=" << l;
+    }
+    ASSERT_EQ(got[lanes], 42.0f) << "wrote past lane " << lanes - 1;
+  };
+  for (const DeviceProfile& profile : LaneTestProfiles()) {
+    for (const Layout& layout : layouts) {
+      for (const size_t size : SimdSizes()) {
+        const int64_t n = static_cast<int64_t>(size);
+        const auto a = HardVector(std::max<size_t>(size, 1) * layout.stride_a, 0x1a9e + size);
+        // Short reductions also run with a holding only signed zeros: every product is
+        // then an exact zero whose sign reaches the output only where the order seeds
+        // nothing, which pins how each order stages its products.
+        std::vector<float> zeros = a;
+        for (float& x : zeros) {
+          x = std::signbit(x) ? -0.0f : 0.0f;
+        }
+        for (int64_t lanes = 1; lanes <= simd::kLanes; ++lanes) {
+          check(profile, layout, n, a, lanes);
+          if (n <= 8) {
+            check(profile, layout, n, zeros, lanes);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdProfileTest, PackLanesInterleavesRowsAndZeroPads) {
+  const int64_t rows = 11, k = 5;
+  std::vector<float> w(static_cast<size_t>(rows * k));
+  for (size_t i = 0; i < w.size(); ++i) {
+    w[i] = static_cast<float>(i + 1);
+  }
+  std::vector<float> packed(static_cast<size_t>(2 * simd::kLanes * k), -1.0f);
+  simd::PackLanes(w.data(), rows, k, packed.data());
+  for (int64_t g = 0; g < 2; ++g) {
+    for (int64_t p = 0; p < k; ++p) {
+      for (int64_t l = 0; l < simd::kLanes; ++l) {
+        const int64_t row = g * simd::kLanes + l;
+        EXPECT_EQ(packed[static_cast<size_t>((g * k + p) * simd::kLanes + l)],
+                  row < rows ? w[static_cast<size_t>(row * k + p)] : 0.0f)
+            << "g=" << g << " p=" << p << " l=" << l;
+      }
+    }
+  }
+}
+
 TEST_F(SimdEquivalenceTest, ElementwiseHelpersBitwise) {
   const size_t n = 1003;  // tail of 3 mod 8
   const auto a = HardVector(n, 0xe1e1);
@@ -401,22 +546,36 @@ TEST(SimdProfileTest, VectorPathEqualsScalarStridedSemantics) {
   }
 }
 
-TEST(SimdProfileTest, NonEligibleProfilesNeverTakeVectorPath) {
-  // Sequential/tree/blocked orders cannot be reproduced by the 8-lane unit; their
-  // results must be independent of the dispatch decision.
+TEST(SimdProfileTest, NonEligibleProfilesReduceOneOutputPerLane) {
+  // The 8-lane unit cannot split one sequential/tree/blocked reduction across lanes, so
+  // Accumulate and DotStrided stay scalar for these profiles; only DotLanes vectorizes
+  // them, one whole output per lane. Every path must be independent of the dispatch
+  // decision.
+  const auto xs = HardVector(1001, 0xf1ee);
+  const auto ys = HardVector(8 * 1001, 0xf2ee);
   for (const auto& d : DeviceRegistry::Fleet()) {
     if (d.vector_eligible()) {
       continue;
     }
-    const auto xs = HardVector(1001, 0xf1ee);
     float scalar_sum = 0.0f;
+    float scalar_dots[simd::kLanes];
     {
       ScopedSimdBackend force(SimdBackend::kScalar);
       scalar_sum = d.Accumulate(xs);
+      simd::DotLanes(d, xs.data(), 1, ys.data(), 1001, 1, 1001, simd::kLanes, scalar_dots);
+    }
+    for (int64_t l = 0; l < simd::kLanes; ++l) {
+      EXPECT_TRUE(BitEq(scalar_dots[l], d.Dot(xs, std::span(ys).subspan(1001 * l, 1001))))
+          << d.name << " lane " << l;
     }
     if (SimdBackendSupported(SimdBackend::kAvx2)) {
       ScopedSimdBackend force(SimdBackend::kAvx2);
       EXPECT_TRUE(BitEq(d.Accumulate(xs), scalar_sum)) << d.name;
+      float simd_dots[simd::kLanes];
+      simd::DotLanes(d, xs.data(), 1, ys.data(), 1001, 1, 1001, simd::kLanes, simd_dots);
+      for (int64_t l = 0; l < simd::kLanes; ++l) {
+        EXPECT_TRUE(BitEq(simd_dots[l], scalar_dots[l])) << d.name << " lane " << l;
+      }
     }
   }
 }

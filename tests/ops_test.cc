@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +91,19 @@ TEST_F(OpsTest, AddBroadcastsBias) {
     for (int64_t j = 0; j < 3; ++j) {
       EXPECT_FLOAT_EQ(out[i * 3 + j], x[i * 3 + j] + b[j]);
     }
+  }
+}
+
+TEST_F(OpsTest, SingleElementOperandBroadcastsOnEitherSide) {
+  const Tensor x = RandTensor(Shape{3, 70}, 20);
+  const Tensor s = RandTensor(Shape{1}, 21);
+  const Tensor y = OpRegistry::Instance().Get("mul").Forward({ref_, {x, s}, {}});
+  const Tensor z = OpRegistry::Instance().Get("div").Forward({ref_, {s, x}, {}});
+  EXPECT_EQ(y.shape(), x.shape());
+  EXPECT_EQ(z.shape(), x.shape());
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    EXPECT_EQ(y[i], x[i] * s[0]);
+    EXPECT_EQ(z[i], s[0] / x[i]);
   }
 }
 
@@ -486,13 +502,51 @@ TEST_F(OpsTest, DataMovementOpsHaveZeroBound) {
   }
 }
 
+TEST_F(OpsTest, TransposeRejectsNonPermutation) {
+  const Tensor x = Tensor::Arange(6).WithShape(Shape{2, 3});
+  const OpKernel& transpose = OpRegistry::Instance().Get("transpose");
+  for (const std::vector<int64_t>& perm :
+       {std::vector<int64_t>{0, 0}, std::vector<int64_t>{0, 2}, std::vector<int64_t>{-1, 0}}) {
+    Attrs attrs;
+    attrs.Set("perm", perm);
+    EXPECT_DEATH((void)transpose.InferShape({x.shape()}, attrs), "not a permutation");
+    const std::vector<Tensor> inputs = {x};
+    EXPECT_DEATH((void)transpose.Forward({ref_, inputs, attrs}), "not a permutation");
+  }
+}
+
 // --------------------------- SIMD backend equivalence ------------------------------
 //
 // The vectorized backend (src/device/simd.h) claims bitwise identity with the scalar
-// fixed-tree loops. These sweeps check the claim where it matters: whole operator
-// forwards and bound templates on the fleet's vector-eligible profile, and full
-// zoo-model traces. Bitwise-equal outputs imply equal result commitments (C0 hashes
-// exact FP32 bytes), so a passing sweep means dispatch can never change a verdict.
+// loops: the fixed 8-lane tree of vector-eligible profiles, and DotLanes' one output
+// per lane for every other order. These sweeps check the claim where it matters: whole
+// operator forwards and bound templates, and full zoo-model traces, on every fleet
+// profile, the reference, and synthetic profiles covering the remaining orders.
+// Bitwise-equal outputs imply equal result commitments (C0 hashes exact FP32 bytes),
+// so a passing sweep means dispatch can never change a verdict.
+
+std::vector<DeviceProfile> SimdSweepProfiles() {
+  std::vector<DeviceProfile> profiles = DeviceRegistry::Fleet();
+  profiles.push_back(DeviceRegistry::Reference());
+  const auto synthetic = [](const char* name, AccumulationOrder order, int64_t block,
+                            bool fma) {
+    DeviceProfile p = DeviceRegistry::Reference();
+    p.name = name;
+    p.order = order;
+    p.block = block;
+    p.fma = fma;
+    return p;
+  };
+  profiles.push_back(synthetic("Reversed", AccumulationOrder::kReversed, 0, false));
+  profiles.push_back(synthetic("Strided4", AccumulationOrder::kStrided, 4, false));
+  profiles.push_back(synthetic("SequentialFma", AccumulationOrder::kSequential, 0, true));
+  profiles.push_back(synthetic("Blocked7", AccumulationOrder::kBlocked, 7, true));
+  return profiles;
+}
+
+std::string ProfileParamName(const ::testing::TestParamInfo<int>& info) {
+  return SimdSweepProfiles()[static_cast<size_t>(info.param)].name;
+}
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
@@ -512,7 +566,36 @@ std::vector<SoundnessCase> SimdSweepCases() {
   cases.push_back({"matmul", {Shape{9, 37}, Shape{37, 11}}, {}, 1.0f});
   cases.push_back({"matmul", {Shape{5, 7}, Shape{7, 3}}, {}, 1.0f});
   cases.push_back({"bmm", {Shape{3, 6, 29}, Shape{3, 29, 5}}, {}, 1.0f});
+  cases.push_back({"bmm", {Shape{2, 1, 300}, Shape{2, 300, 19}}, {}, 1.0f});
+  cases.push_back({"matmul", {Shape{1, 130}, Shape{130, 17}}, {}, 1.0f});
   cases.push_back({"linear", {Shape{6, 83}, Shape{13, 83}, Shape{13}}, {}, 1.0f});
+  // One row reads the weights in place; two or more pack them into lane groups.
+  cases.push_back({"linear", {Shape{1, 300}, Shape{21, 300}, Shape{21}}, {}, 1.0f});
+  cases.push_back({"linear", {Shape{2, 3, 40}, Shape{7, 40}, Shape{7}}, {}, 1.0f});
+  {
+    Attrs a;
+    a.Set("stride", static_cast<int64_t>(2));
+    a.Set("padding", static_cast<int64_t>(1));
+    cases.push_back({"conv2d", {Shape{2, 3, 9, 9}, Shape{11, 3, 3, 3}, Shape{11}}, a, 1.0f});
+  }
+  {
+    // A single output position reads the weights in place.
+    Attrs a;
+    a.Set("stride", static_cast<int64_t>(1));
+    a.Set("padding", static_cast<int64_t>(0));
+    cases.push_back({"conv2d", {Shape{1, 4, 3, 3}, Shape{13, 4, 3, 3}, Shape{13}}, a, 1.0f});
+  }
+  {
+    Attrs a;
+    a.Set("perm", std::vector<int64_t>{2, 0, 1});
+    cases.push_back({"transpose", {Shape{3, 5, 7}}, a, 1.0f});
+    Attrs b;
+    b.Set("perm", std::vector<int64_t>{1, 0, 3, 2});
+    cases.push_back({"transpose", {Shape{2, 3, 4, 5}}, b, 1.0f});
+  }
+  // A single-element operand on either side skips broadcast indexing.
+  cases.push_back({"mul", {Shape{4, 5, 6}, Shape{1}}, {}, 1.0f});
+  cases.push_back({"div", {Shape{1, 1}, Shape{3, 67}}, {}, 1.0f});
   {
     Attrs a;
     a.Set("axis", static_cast<int64_t>(-1));
@@ -550,7 +633,7 @@ std::vector<SoundnessCase> SimdSweepCases() {
   return cases;
 }
 
-class SimdOpSweepTest : public ::testing::TestWithParam<int> {
+class SimdOpSweepTest : public ::testing::TestWithParam<std::tuple<int, int>> {
  protected:
   void SetUp() override {
     RegisterAllOps();
@@ -561,15 +644,13 @@ class SimdOpSweepTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(SimdOpSweepTest, ForwardAndBoundBitwiseScalarVsSimd) {
-  const SoundnessCase c = SimdSweepCases()[static_cast<size_t>(GetParam())];
+  const auto [profile, case_index] = GetParam();
+  const DeviceProfile device = SimdSweepProfiles()[static_cast<size_t>(profile)];
+  const SoundnessCase c = SimdSweepCases()[static_cast<size_t>(case_index)];
   std::vector<Tensor> inputs;
   for (size_t i = 0; i < c.shapes.size(); ++i) {
-    inputs.push_back(RandTensor(c.shapes[i], 300 + GetParam() * 10 + i, c.scale));
+    inputs.push_back(RandTensor(c.shapes[i], 300 + case_index * 10 + i, c.scale));
   }
-  // RTX6000 carries kStridedVector — the one profile whose reductions dispatch to
-  // the vector backend.
-  const DeviceProfile& device = DeviceRegistry::ByName("RTX6000");
-  ASSERT_TRUE(device.vector_eligible());
   const OpKernel& kernel = OpRegistry::Instance().Get(c.op);
   Tensor out_scalar, out_simd;
   DTensor bound_scalar, bound_simd;
@@ -589,15 +670,28 @@ TEST_P(SimdOpSweepTest, ForwardAndBoundBitwiseScalarVsSimd) {
   EXPECT_TRUE(BitwiseEqualD(bound_scalar, bound_simd)) << c.op;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllOps, SimdOpSweepTest,
-                         ::testing::Range(0, static_cast<int>(SimdSweepCases().size())));
+std::string SweepParamName(const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+  const size_t case_index = static_cast<size_t>(std::get<1>(info.param));
+  return SimdSweepProfiles()[static_cast<size_t>(std::get<0>(info.param))].name + "_" +
+         SimdSweepCases()[case_index].op + "_" + std::to_string(case_index);
+}
 
-TEST(SimdZooTraceTest, FullTracesAndBoundsBitwiseStableAcrossBackends) {
+INSTANTIATE_TEST_SUITE_P(
+    AllProfilesAndOps, SimdOpSweepTest,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(SimdSweepProfiles().size())),
+                       ::testing::Range(0, static_cast<int>(SimdSweepCases().size()))),
+    SweepParamName);
+
+class SimdZooTraceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimdZooTraceTest, FullTracesAndBoundsBitwiseStableAcrossBackends) {
+  // Every profile's traces cover the whole vector surface the backend dispatches:
+  // reductions (fixed tree or lanes), exact elementwise helpers and vmath.
   if (!SimdBackendSupported(SimdBackend::kAvx2)) {
     GTEST_SKIP() << "AVX2 unavailable; only the scalar backend exists here";
   }
   RegisterAllOps();
-  const DeviceProfile& device = DeviceRegistry::ByName("RTX6000");
+  const DeviceProfile device = SimdSweepProfiles()[static_cast<size_t>(GetParam())];
   ExecutorOptions options;
   options.with_bounds = true;
   options.bound_mode = BoundMode::kDeterministic;
@@ -625,42 +719,9 @@ TEST(SimdZooTraceTest, FullTracesAndBoundsBitwiseStableAcrossBackends) {
   }
 }
 
-TEST(VmathZooTraceTest, TracesAndBoundsBackendInvariantOnScalarOnlyProfile) {
-  // The H100 profile is NOT vector-eligible: its reductions never dispatch to the
-  // SIMD backend, so the ONLY backend-sensitive code on this profile is vmath's
-  // AVX2-vs-scalar dispatch. Bitwise-equal full-model traces here isolate the
-  // vmath bitwise-identity claim from the reduction-tree one SimdZooTraceTest
-  // already holds.
-  if (!SimdBackendSupported(SimdBackend::kAvx2)) {
-    GTEST_SKIP() << "AVX2 unavailable; only the scalar backend exists here";
-  }
-  RegisterAllOps();
-  const DeviceProfile& device = DeviceRegistry::ByName("H100");
-  ASSERT_FALSE(device.vector_eligible());
-  ExecutorOptions options;
-  options.with_bounds = true;
-  options.bound_mode = BoundMode::kDeterministic;
-  for (const Model& model : {BuildBertMini(), BuildResNetMini()}) {
-    Rng rng(0x3a7);
-    const std::vector<Tensor> input = model.sample_input(rng);
-    const Executor exec(*model.graph, device);
-    ExecutionTrace scalar_trace, simd_trace;
-    {
-      ScopedSimdBackend force(SimdBackend::kScalar);
-      scalar_trace = exec.Run(input, options);
-    }
-    {
-      ScopedSimdBackend force(SimdBackend::kAvx2);
-      simd_trace = exec.Run(input, options);
-    }
-    for (const NodeId id : model.graph->op_nodes()) {
-      ASSERT_TRUE(BitwiseEqual(scalar_trace.value(id), simd_trace.value(id)))
-          << model.name << " node " << id;
-      ASSERT_TRUE(BitwiseEqualD(scalar_trace.bound(id), simd_trace.bound(id)))
-          << model.name << " node " << id;
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(AllProfiles, SimdZooTraceTest,
+                         ::testing::Range(0, static_cast<int>(SimdSweepProfiles().size())),
+                         ProfileParamName);
 
 TEST_F(OpsTest, RegistryContainsAllPaperOperators) {
   // Appendix A.3 operator inventory (modulo naming).
