@@ -4,7 +4,6 @@
 // rounding, exactly as for linear.
 
 #include <cmath>
-#include <optional>
 
 #include "src/ops/lanes.h"
 #include "src/ops/op_kernel.h"
@@ -62,13 +61,8 @@ class Conv2dKernel : public OpKernel {
     const float* wv = weight.values().data();
     const auto bv = bias.values();
     auto ov = out.mutable_values();
-    // Profiles that are not vector-eligible compute eight output channels per DotLanes
-    // call; every spatial position reuses the weights.
-    std::optional<LaneWeights> lane_weights;
-    if (!ctx.device.vector_eligible()) {
-      lane_weights.emplace(ctx, wv, d.cout, d.patch,
-                           /*reused=*/d.batch * d.oh * d.ow >= 2);
-    }
+    // Eight output channels per DotLanes call; every spatial position reuses the weights.
+    const LaneWeights weights(ctx, wv, d.cout, d.patch, /*reused=*/d.batch * d.oh * d.ow >= 2);
     // Split over flattened (image, output row) pairs; each chunk gathers receptive
     // fields into its own scratch buffer, drawn from (and returned to) the arena so
     // chunks recycle each other's gather buffers instead of re-allocating.
@@ -92,22 +86,13 @@ class Conv2dKernel : public OpKernel {
               }
             }
           }
-          if (lane_weights.has_value()) {
-            for (int64_t g = 0; g < LaneGroups(d.cout); ++g) {
-              float dots[simd::kLanes];
-              lane_weights->Dot(patch, g, dots);
-              for (int64_t l = 0; l < lane_weights->lanes(g); ++l) {
-                const int64_t co = g * simd::kLanes + l;
-                ov[static_cast<size_t>(((n * d.cout + co) * d.oh + oy) * d.ow + ox)] =
-                    dots[l] + bv[static_cast<size_t>(co)];
-              }
-            }
-          } else {
-            for (int64_t co = 0; co < d.cout; ++co) {
-              const float dot = ctx.device.DotStrided(patch, 1, wv + co * d.patch, 1,
-                                                      d.patch);
+          for (int64_t g = 0; g < LaneGroups(d.cout); ++g) {
+            float dots[simd::kLanes];
+            weights.Dot(patch, g, dots);
+            for (int64_t l = 0; l < weights.lanes(g); ++l) {
+              const int64_t co = g * simd::kLanes + l;
               ov[static_cast<size_t>(((n * d.cout + co) * d.oh + oy) * d.ow + ox)] =
-                  dot + bv[static_cast<size_t>(co)];
+                  dots[l] + bv[static_cast<size_t>(co)];
             }
           }
         }

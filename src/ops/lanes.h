@@ -1,6 +1,8 @@
-// Operands of simd::DotLanes (src/device/simd.h) for the dense kernels. Profiles that
-// are not vector-eligible compute matmul, bmm, linear and conv2d outputs eight at a
-// time, one output per vector lane, each lane in the profile's own reduction order.
+// Operands of simd::DotLanes (src/device/simd.h) for the dense kernels. matmul, bmm,
+// linear and conv2d compute their outputs eight at a time; profiles that are not
+// vector-eligible run one output per vector lane, each lane in the profile's own
+// reduction order, and DotLanes evaluates the lanes of vector-eligible profiles one by
+// one under their fixed 8-lane tree.
 
 #ifndef TAO_SRC_OPS_LANES_H_
 #define TAO_SRC_OPS_LANES_H_
@@ -21,14 +23,15 @@ inline int64_t LaneGroups(int64_t outputs) {
 
 // `rows` weight rows of length k (linear output features, conv2d output channels),
 // eight rows per DotLanes call. When two or more input rows or positions reuse the
-// weights, they are packed once per call into arena scratch (simd::PackLanes) so each
-// index is one contiguous vector; a single use reads them in place, gathering one lane
-// per row.
+// weights of a profile that is not vector-eligible, they are packed once per call into
+// arena scratch (simd::PackLanes) so each index is one contiguous vector. Otherwise
+// they are read in place: the lane kernels gather one lane per row, and vector-eligible
+// profiles take each row as one contiguous operand.
 class LaneWeights {
  public:
   LaneWeights(const OpContext& ctx, const float* w, int64_t rows, int64_t k, bool reused)
       : ctx_(ctx), w_(w), rows_(rows), k_(k) {
-    if (reused) {
+    if (reused && !ctx.device.vector_eligible()) {
       packed_ = ctx.AllocateScratch(Shape{LaneGroups(rows), k, simd::kLanes});
       simd::PackLanes(w, rows, k, packed_->mutable_values().data());
       w_ = packed_->values().data();

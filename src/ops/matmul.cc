@@ -1,9 +1,9 @@
 // Dense linear algebra: matmul (2-D), bmm (batched 3-D), linear (x·Wᵀ + b).
 //
-// Inner products route through DeviceProfile::DotStrided, or simd::DotLanes (its
-// eight-outputs-at-once twin) on profiles that are not vector-eligible, so that
-// accumulation order and FMA policy — the real nondeterminism surface of GPU GEMM
-// kernels — vary across the fleet. Bounds use the classic inner-product result
+// Inner products route through simd::DotLanes, eight outputs at a time, each bit for
+// bit DeviceProfile::DotStrided, so that accumulation order and FMA policy — the real
+// nondeterminism surface of GPU GEMM kernels — vary across the fleet. Bounds use the
+// classic inner-product result
 //   |fl(xᵀy) − xᵀy| ≤ γ_k · Σ|x_i||y_i|
 // with γ_k or γ̃_k(λ) per BoundContext::mode; linear adds one bias-add rounding.
 
@@ -22,10 +22,10 @@ namespace {
 // (64·k floats) stay resident in L2 while every row of the chunk sweeps them.
 constexpr int64_t kColumnPanel = 64;
 
-// Profiles that are not vector-eligible: task q of an [m, k] x [k, n] product is one
-// DotLanes call for row q % m and the eight output columns of group q / m, every lane
-// reading its column straight from B's rows. Consecutive tasks reuse one k x 8 strip
-// of B.
+// Task q of an [m, k] x [k, n] product is one DotLanes call for row q % m and the eight
+// output columns of group q / m, every lane reading its column straight from B's rows.
+// Consecutive tasks reuse one k x 8 strip of B, and tasks write disjoint outputs, so
+// splitting them is bitwise safe.
 void MatmulLaneTask(const OpContext& ctx, const float* av, const float* bv, float* ov,
                     int64_t m, int64_t n, int64_t k, int64_t q) {
   const int64_t j = q / m * simd::kLanes;
@@ -78,17 +78,9 @@ class MatmulKernel : public OpKernel {
     const float* av = a.values().data();
     const float* bv = b.values().data();
     auto ov = out.mutable_values();
-    if (!ctx.device.vector_eligible()) {
-      ctx.For(LaneGroups(n) * m, [&](int64_t begin, int64_t end) {
-        for (int64_t q = begin; q < end; ++q) {
-          MatmulLaneTask(ctx, av, bv, ov.data(), m, n, k, q);
-        }
-      });
-      return out;
-    }
     // Packed fast path once the pack cost (n·k) amortizes over enough rows; small-m
-    // products keep the direct loop, whose strided dots the device already vectorizes.
-    if (m >= 4) {
+    // products keep the lane tasks, whose strided dots the device already vectorizes.
+    if (ctx.device.vector_eligible() && m >= 4) {
       Tensor bt = ctx.AllocateScratch(Shape{n, k});
       float* btv = bt.mutable_values().data();
       ctx.For(n, [&](int64_t col_begin, int64_t col_end) {
@@ -104,13 +96,9 @@ class MatmulKernel : public OpKernel {
       ctx.Recycle(std::move(bt));
       return out;
     }
-    // Rows write disjoint output ranges, so splitting the outer loop is bitwise safe.
-    ctx.For(m, [&](int64_t row_begin, int64_t row_end) {
-      for (int64_t i = row_begin; i < row_end; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          ov[static_cast<size_t>(i * n + j)] =
-              ctx.device.DotStrided(av + i * k, 1, bv + j, n, k);
-        }
+    ctx.For(LaneGroups(n) * m, [&](int64_t begin, int64_t end) {
+      for (int64_t q = begin; q < end; ++q) {
+        MatmulLaneTask(ctx, av, bv, ov.data(), m, n, k, q);
       }
     });
     return out;
@@ -212,22 +200,11 @@ class BmmKernel : public OpKernel {
     const float* av = a.values().data();
     const float* bv = b.values().data();
     auto ov = out.mutable_values();
-    if (!ctx.device.vector_eligible()) {
-      const int64_t tasks = LaneGroups(n) * m;  // per batch entry
-      ctx.For(batch * tasks, [&](int64_t begin, int64_t end) {
-        for (int64_t q = begin; q < end; ++q) {
-          const int64_t t = q / tasks;
-          MatmulLaneTask(ctx, av + t * m * k, bv + t * k * n, ov.data() + t * m * n, m, n,
-                         k, q % tasks);
-        }
-      });
-      return out;
-    }
     // Packed fast path: transpose every batch's B into one scratch block (same total
     // footprint as B itself), then run the flattened (batch, row) loop over contiguous
     // panels. Per-batch packing inside the row loop would repack k·n floats once per
     // row chunk; packing up front keeps both loops perfectly parallel.
-    if (batch * m >= 4) {
+    if (ctx.device.vector_eligible() && batch * m >= 4) {
       Tensor btall = ctx.AllocateScratch(Shape{batch, n, k});
       float* btv = btall.mutable_values().data();
       ctx.For(batch * n, [&](int64_t begin, int64_t end) {
@@ -256,17 +233,14 @@ class BmmKernel : public OpKernel {
       ctx.Recycle(std::move(btall));
       return out;
     }
-    // Split over flattened (batch, row) pairs so small-batch bmm still parallelizes.
-    ctx.For(batch * m, [&](int64_t begin, int64_t end) {
-      for (int64_t r = begin; r < end; ++r) {
-        const int64_t t = r / m;
-        const int64_t i = r % m;
-        const float* at = av + t * m * k;
-        const float* bt = bv + t * k * n;
-        for (int64_t j = 0; j < n; ++j) {
-          ov[static_cast<size_t>((t * m + i) * n + j)] =
-              ctx.device.DotStrided(at + i * k, 1, bt + j, n, k);
-        }
+    // Split over flattened (batch, lane task) pairs so small-batch bmm still
+    // parallelizes.
+    const int64_t tasks = LaneGroups(n) * m;  // per batch entry
+    ctx.For(batch * tasks, [&](int64_t begin, int64_t end) {
+      for (int64_t q = begin; q < end; ++q) {
+        const int64_t t = q / tasks;
+        MatmulLaneTask(ctx, av + t * m * k, bv + t * k * n, ov.data() + t * m * n, m, n, k,
+                       q % tasks);
       }
     });
     return out;
@@ -381,30 +355,18 @@ class LinearKernel : public OpKernel {
     const float* wv = w.values().data();
     const auto bv = b.values();
     auto ov = out.mutable_values();
-    if (!ctx.device.vector_eligible()) {
-      // Task q is (feature group q / rows, row q % rows), so consecutive tasks reuse
-      // one group of weight rows.
-      const LaneWeights weights(ctx, wv, out_features, in, /*reused=*/rows >= 2);
-      ctx.For(LaneGroups(out_features) * rows, [&](int64_t begin, int64_t end) {
-        for (int64_t q = begin; q < end; ++q) {
-          const int64_t g = q / rows;
-          const int64_t r = q % rows;
-          float dots[simd::kLanes];
-          weights.Dot(xv + r * in, g, dots);
-          for (int64_t l = 0; l < weights.lanes(g); ++l) {
-            const int64_t o = g * simd::kLanes + l;
-            ov[static_cast<size_t>(r * out_features + o)] =
-                dots[l] + bv[static_cast<size_t>(o)];
-          }
-        }
-      });
-      return out;
-    }
-    ctx.For(rows, [&](int64_t row_begin, int64_t row_end) {
-      for (int64_t r = row_begin; r < row_end; ++r) {
-        for (int64_t o = 0; o < out_features; ++o) {
-          const float dot = ctx.device.DotStrided(xv + r * in, 1, wv + o * in, 1, in);
-          ov[static_cast<size_t>(r * out_features + o)] = dot + bv[static_cast<size_t>(o)];
+    // Task q is (feature group q / rows, row q % rows), so consecutive tasks reuse one
+    // group of weight rows.
+    const LaneWeights weights(ctx, wv, out_features, in, /*reused=*/rows >= 2);
+    ctx.For(LaneGroups(out_features) * rows, [&](int64_t begin, int64_t end) {
+      for (int64_t q = begin; q < end; ++q) {
+        const int64_t g = q / rows;
+        const int64_t r = q % rows;
+        float dots[simd::kLanes];
+        weights.Dot(xv + r * in, g, dots);
+        for (int64_t l = 0; l < weights.lanes(g); ++l) {
+          const int64_t o = g * simd::kLanes + l;
+          ov[static_cast<size_t>(r * out_features + o)] = dots[l] + bv[static_cast<size_t>(o)];
         }
       }
     });
