@@ -68,7 +68,7 @@ struct ShardSnapshotState {
   uint64_t submitted = 0;
   Balances balances;
   int64_t gas = 0;
-  std::vector<ClaimRecord> claims;  // in id order (the shard's submission order)
+  std::vector<ClaimRecord> claims;  // in id order, as the shard map iterates
 };
 
 std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshotState& state);

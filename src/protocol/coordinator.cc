@@ -113,7 +113,10 @@ ShardSnapshotState Coordinator::SnapshotShardLocked(const Shard& shard) const {
   state.submitted = shard.submitted;
   state.balances = shard.balances;
   state.gas = shard.gas;
-  state.claims.assign(shard.claims.begin(), shard.claims.end());
+  state.claims.reserve(shard.claims.size());
+  for (const auto& [id, record] : shard.claims) {
+    state.claims.push_back(record);
+  }
   return state;
 }
 
@@ -126,9 +129,7 @@ void Coordinator::RestoreShard(size_t index, const ShardSnapshotState& state) {
   shard.gas = state.gas;
   shard.claims.clear();
   for (const ClaimRecord& claim : state.claims) {
-    TAO_CHECK_EQ(claim.id, 1 + index + shard.claims.size() * shards_.size())
-        << "snapshot claims of shard " << index << " are not dense";
-    shard.claims.push_back(claim);
+    shard.claims[claim.id] = claim;
   }
 }
 
@@ -257,7 +258,7 @@ ClaimId Coordinator::SubmitCommitment(const Digest& c0, uint64_t challenge_windo
   record.proposer_bond = proposer_bond;
   shard.balances.proposer -= proposer_bond;  // escrowed
   record.gas += schedule_.commit;
-  shard.claims.push_back(record);
+  shard.claims[record.id] = record;
   shard.gas += schedule_.commit;
   CoordinatorAction action;
   action.kind = CoordinatorAction::Kind::kSubmit;
@@ -428,13 +429,17 @@ void Coordinator::ChargeClaimGas(ClaimId id, int64_t gas) {
 int64_t Coordinator::claim_gas(ClaimId id) const {
   const Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.claims[ClaimIndex(shard, id)].gas;
+  const auto it = shard.claims.find(id);
+  TAO_CHECK(it != shard.claims.end()) << "unknown claim " << id;
+  return it->second.gas;
 }
 
 ClaimRecord Coordinator::claim(ClaimId id) const {
   const Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.claims[ClaimIndex(shard, id)];
+  const auto it = shard.claims.find(id);
+  TAO_CHECK(it != shard.claims.end()) << "unknown claim " << id;
+  return it->second;
 }
 
 Balances Coordinator::balances() const {
@@ -474,21 +479,17 @@ std::vector<ClaimId> Coordinator::shard_claims(size_t shard) const {
   std::lock_guard<std::mutex> lock(shards_[shard]->mu);
   std::vector<ClaimId> ids;
   ids.reserve(shards_[shard]->claims.size());
-  for (const ClaimRecord& record : shards_[shard]->claims) {
-    ids.push_back(record.id);
+  // std::map iterates in id order == this shard's submission order (ids ascend by S).
+  for (const auto& [id, record] : shards_[shard]->claims) {
+    ids.push_back(id);
   }
   return ids;
 }
 
-size_t Coordinator::ClaimIndex(const Shard& shard, ClaimId id) const {
-  const size_t index = static_cast<size_t>((id - 1) / shards_.size());
-  TAO_CHECK(index < shard.claims.size() && shard.claims[index].id == id)
-      << "unknown claim " << id;
-  return index;
-}
-
 ClaimRecord& Coordinator::MutableClaim(Shard& shard, ClaimId id) const {
-  return shard.claims[ClaimIndex(shard, id)];
+  const auto it = shard.claims.find(id);
+  TAO_CHECK(it != shard.claims.end()) << "unknown claim " << id;
+  return it->second;
 }
 
 }  // namespace tao

@@ -17,7 +17,7 @@
 #define TAO_SRC_PROTOCOL_COORDINATOR_H_
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -202,17 +202,14 @@ class Coordinator {
     mutable std::mutex mu;
     uint64_t now = 0;
     uint64_t submitted = 0;  // claims homed here; drives id assignment
-    // The shard's i-th claim, id 1 + shard + i * num_shards, sits at claims[i]: one
-    // record per claim and no per-claim node.
-    std::deque<ClaimRecord> claims;
+    std::map<ClaimId, ClaimRecord> claims;
     Balances balances;
     int64_t gas = 0;
   };
 
   Shard& shard_for(ClaimId id) { return *shards_[shard_of(id)]; }
   const Shard& shard_for(ClaimId id) const { return *shards_[shard_of(id)]; }
-  // Callers must hold shard.mu. Aborts on an id the shard does not hold.
-  size_t ClaimIndex(const Shard& shard, ClaimId id) const;
+  // Callers must hold shard.mu.
   ClaimRecord& MutableClaim(Shard& shard, ClaimId id) const;
   void RecordLeafAdjudicationLocked(Shard& shard, ClaimId id, bool proposer_guilty,
                                     double challenger_share);
