@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -405,19 +406,27 @@ TEST(ResourceTrackerTest, ScopedThreadRegistersSamplesAndRecyclesOrdinals) {
     }
   }
 
-  // Two live occupants of one role get distinct ordinals.
-  std::thread a([] {
+  // Two live occupants of one role get distinct ordinals: b registers only once a
+  // has, and a stays registered until b has, so a holds ordinal 0 and b ordinal 1.
+  std::atomic<bool> a_registered{false};
+  std::atomic<bool> b_registered{false};
+  std::thread a([&] {
     ResourceTracker::ScopedThread self("rt_pair");
-    // b may register first when the scheduler runs it before a.
-    EXPECT_TRUE(self.name() == "rt_pair/0" || self.name() == "rt_pair/1");
-    SpinFor(std::chrono::milliseconds(5));
+    EXPECT_EQ(self.name(), "rt_pair/0");
+    a_registered.store(true);
+    while (!b_registered.load()) {
+      std::this_thread::yield();
+    }
   });
-  std::thread b([&a] {
+  std::thread b([&] {
+    while (!a_registered.load()) {
+      std::this_thread::yield();
+    }
     ResourceTracker::ScopedThread self("rt_pair");
-    // Ordinal depends on registration order; either way the two differ.
-    EXPECT_TRUE(self.name() == "rt_pair/0" || self.name() == "rt_pair/1");
-    a.join();
+    EXPECT_EQ(self.name(), "rt_pair/1");
+    b_registered.store(true);
   });
+  a.join();
   b.join();
 }
 
