@@ -1,7 +1,8 @@
 // Operator-level microbenchmarks: per-op GFLOP/s under the scalar backend vs the
 // runtime-dispatched SIMD backend, on the fleet's vector-eligible profile (RTX6000,
 // kStridedVector = the fixed 8-lane reduction tree), plus the dense kernels at the
-// model zoo's shapes on every fleet profile and the reference.
+// model zoo's shapes on every fleet profile and the reference, and SHA-256 / CRC-32
+// throughput over a 64 KB payload.
 //
 // The SIMD backend is only admissible because it is bitwise identical to the scalar
 // fixed-tree loops (src/device/simd.h); the last column re-checks that here, on the
@@ -10,17 +11,21 @@
 // without AVX2 (or with TAO_DISABLE_SIMD set) the SIMD columns repeat the scalar
 // backend, and the speedup column reads ~1.0x.
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/crypto/sha256.h"
 #include "src/device/device.h"
 #include "src/device/simd.h"
 #include "src/device/vmath.h"
+#include "src/durability/framing.h"
 #include "src/ops/op_kernel.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
@@ -75,6 +80,27 @@ std::string ShapeString(const std::vector<Shape>& shapes) {
     s += shapes[i].ToString();
   }
   return s;
+}
+
+// CRC-32 with one table lookup per byte: the classic loop, the reference for Crc32's
+// slice-by-8 tables.
+uint32_t Crc32Bytewise(std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const uint8_t byte : data) {
+    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 bool Bitwise(const Tensor& a, const Tensor& b) {
@@ -433,10 +459,66 @@ int main(int argc, char** argv) {
   dense_table.Print();
   json.AddBool("lanes_bitwise_all", lanes_bitwise_all);
 
+  // --- Hashing -------------------------------------------------------------------
+  // SHA-256 (commitments) and CRC-32 (wire frames, changelog records) over 64 KB, the
+  // size of a WideMlp claim's input. SHA-256's scalar column forces the scalar rounds
+  // and its dispatched column runs the SHA-NI kernel where the CPU has one. CRC-32 has
+  // one implementation, slice-by-8; its scalar column is the bytewise table loop.
+  std::vector<uint8_t> payload(64 << 10);
+  {
+    Rng rng(0x5a7);
+    for (uint8_t& byte : payload) {
+      byte = static_cast<uint8_t>(rng.NextU64());
+    }
+  }
+  const double payload_mb = static_cast<double>(payload.size()) / 1e6;
+  const auto mb_per_s = [&](double ms) { return payload_mb / (ms * 1e-3); };
+  Digest sha_scalar{}, sha_fast{};
+  double sha_scalar_ms = 0.0, sha_fast_ms = 0.0;
+  bool sha_ni = false;
+  {
+    ScopedSimdBackend force(SimdBackend::kScalar);
+    sha_scalar = Sha256::Hash(payload);
+    sha_scalar_ms = TimeLoop([&] { (void)Sha256::Hash(payload); });
+  }
+  {
+    ScopedSimdBackend force(fast);
+    sha_ni = Sha256::UsesShaNi();
+    sha_fast = Sha256::Hash(payload);
+    sha_fast_ms = TimeLoop([&] { (void)Sha256::Hash(payload); });
+  }
+  const uint32_t crc_bytewise = Crc32Bytewise(payload);
+  const uint32_t crc_slice8 = Crc32(payload);
+  volatile uint32_t crc_sink = 0;  // keeps the timed loops from being elided
+  const double crc_bytewise_ms = TimeLoop([&] { crc_sink = Crc32Bytewise(payload); });
+  const double crc_slice8_ms = TimeLoop([&] { crc_sink = Crc32(payload); });
+  const bool sha_bitwise = sha_scalar == sha_fast;
+  const bool crc_bitwise = crc_bytewise == crc_slice8;
+  std::printf("\nhashing over 64 KB (scalar vs dispatched; SHA-256 dispatch: %s):\n",
+              sha_ni ? "sha-ni" : "scalar rounds");
+  TablePrinter hash_table({"hash", "scalar MB/s", "dispatched MB/s", "speedup", "bitwise"});
+  hash_table.AddRow({"sha256", TablePrinter::Fixed(mb_per_s(sha_scalar_ms), 0),
+                     TablePrinter::Fixed(mb_per_s(sha_fast_ms), 0),
+                     TablePrinter::Fixed(sha_scalar_ms / sha_fast_ms, 2) + "x",
+                     sha_bitwise ? "equal" : "DIFFER"});
+  hash_table.AddRow({"crc32 (bytewise / slice-by-8)",
+                     TablePrinter::Fixed(mb_per_s(crc_bytewise_ms), 0),
+                     TablePrinter::Fixed(mb_per_s(crc_slice8_ms), 0),
+                     TablePrinter::Fixed(crc_bytewise_ms / crc_slice8_ms, 2) + "x",
+                     crc_bitwise ? "equal" : "DIFFER"});
+  hash_table.Print();
+  json.Add("sha256_scalar_mb_s", mb_per_s(sha_scalar_ms));
+  json.Add("sha256_dispatched_mb_s", mb_per_s(sha_fast_ms));
+  json.AddBool("sha256_sha_ni", sha_ni);
+  json.Add("crc32_bytewise_mb_s", mb_per_s(crc_bytewise_ms));
+  json.Add("crc32_slice8_mb_s", mb_per_s(crc_slice8_ms));
+  json.AddBool("hash_bitwise_all", sha_bitwise && crc_bitwise);
+
   std::printf("\nDeterminism note: every \"equal\" above is bitwise FP32 equality on\n"
-              "the timed tensors. The SIMD backend is not an approximation — it is the\n"
-              "same fixed reduction tree (and, for transcendentals, the same fixed\n"
-              "polynomial arithmetic) executed eight lanes at a time, so commitments\n"
-              "(C0 digests), traces, and verdicts are independent of the backend.\n");
+              "the timed tensors (digest and CRC equality in the hashing table). The\n"
+              "SIMD backend is not an approximation — it is the same fixed reduction\n"
+              "tree (and, for transcendentals, the same fixed polynomial arithmetic)\n"
+              "executed eight lanes at a time, so commitments (C0 digests), traces,\n"
+              "and verdicts are independent of the backend.\n");
   return json.Write() ? 0 : 1;
 }

@@ -1,8 +1,24 @@
 #include "src/crypto/canonical.h"
 
-#include <cstring>
+#include <span>
 
 namespace tao {
+namespace {
+
+void AppendHeader(std::vector<uint8_t>& out, const Shape& shape) {
+  AppendU32(out, 0);  // dtype tag: 0 = f32
+  AppendU32(out, static_cast<uint32_t>(shape.rank()));
+  for (const int64_t d : shape.dims()) {
+    AppendU64(out, static_cast<uint64_t>(d));
+  }
+}
+
+std::span<const uint8_t> ElementBytes(const Tensor& tensor) {
+  const std::span<const float> values = tensor.values();
+  return {reinterpret_cast<const uint8_t*>(values.data()), values.size_bytes()};
+}
+
+}  // namespace
 
 void AppendU32(std::vector<uint8_t>& buffer, uint32_t value) {
   for (int i = 0; i < 4; ++i) {
@@ -16,30 +32,26 @@ void AppendU64(std::vector<uint8_t>& buffer, uint64_t value) {
   }
 }
 
-void AppendF32(std::vector<uint8_t>& buffer, float value) {
-  uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU32(buffer, bits);
+void AppendCanonicalBytes(std::vector<uint8_t>& out, const Tensor& tensor) {
+  AppendHeader(out, tensor.shape());
+  const std::span<const uint8_t> elements = ElementBytes(tensor);
+  out.insert(out.end(), elements.begin(), elements.end());
 }
 
 std::vector<uint8_t> CanonicalBytes(const Tensor& tensor) {
   std::vector<uint8_t> bytes;
-  bytes.reserve(16 + tensor.shape().dims().size() * 8 + static_cast<size_t>(tensor.numel()) * 4);
-  // dtype tag: 0 = f32.
-  AppendU32(bytes, 0);
-  AppendU32(bytes, static_cast<uint32_t>(tensor.shape().rank()));
-  for (const int64_t d : tensor.shape().dims()) {
-    AppendU64(bytes, static_cast<uint64_t>(d));
-  }
-  for (const float v : tensor.values()) {
-    AppendF32(bytes, v);
-  }
+  bytes.reserve(8 + tensor.shape().dims().size() * 8 + ElementBytes(tensor).size());
+  AppendCanonicalBytes(bytes, tensor);
   return bytes;
 }
 
 Digest HashTensor(const Tensor& tensor) {
-  const std::vector<uint8_t> bytes = CanonicalBytes(tensor);
-  return Sha256::Hash(std::span<const uint8_t>(bytes.data(), bytes.size()));
+  std::vector<uint8_t> header;
+  AppendHeader(header, tensor.shape());
+  Sha256 ctx;
+  ctx.Update(header);
+  ctx.Update(ElementBytes(tensor));
+  return ctx.Finalize();
 }
 
 Digest HashTensorList(const std::vector<Tensor>& tensors) {

@@ -2,7 +2,14 @@
 //
 // The TAO protocol hashes weight tensors, operator signatures, tensor interfaces, and
 // commitment tuples with SHA-256 (Sec. 2.2, Sec. 5.2). A streaming context is exposed
-// so large tensors can be hashed without copying.
+// so large tensors can be hashed without copying: Update compresses whole 64-byte
+// blocks straight from the caller's bytes and buffers only a trailing partial block.
+//
+// Compression dispatches like the kernel backend (src/device/simd.h): on x86-64 CPUs
+// with the SHA extensions it runs a SHA-NI kernel while ActiveSimdBackend() is kAvx2,
+// and the portable scalar rounds otherwise (TAO_DISABLE_SIMD=1, a forced kScalar
+// backend, other CPUs). Both compute the same function, so digests never depend on
+// the host.
 
 #ifndef TAO_SRC_CRYPTO_SHA256_H_
 #define TAO_SRC_CRYPTO_SHA256_H_
@@ -28,9 +35,11 @@ class Sha256 {
   static Digest Hash(std::span<const uint8_t> data);
   static Digest Hash(const std::string& data);
 
- private:
-  void ProcessBlock(const uint8_t* block);
+  // True when compression currently runs the SHA-NI kernel rather than the scalar
+  // rounds (tests and benches use it to label and check both paths).
+  static bool UsesShaNi();
 
+ private:
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, 64> buffer_;
   uint64_t bit_length_ = 0;

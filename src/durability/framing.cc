@@ -6,33 +6,56 @@
 namespace tao {
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 tables for the reflected polynomial 0xEDB88320: kCrcTables[0] is the
+// classic bytewise table, and kCrcTables[k][b] is the CRC register after byte b is
+// followed by k zero bytes, so eight table lookups advance the CRC by eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+uint32_t LoadU32Le(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
 uint32_t ReadU32At(std::span<const uint8_t> data, size_t offset) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(data[offset + static_cast<size_t>(i)]) << (8 * i);
-  }
-  return value;
+  return LoadU32Le(data.data() + offset);
 }
 
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> data) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const uint8_t byte : data) {
-    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadU32Le(p) ^ crc;
+    const uint32_t hi = LoadU32Le(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -102,6 +125,9 @@ bool ByteReader::ReadF64(double& value) {
 bool ByteReader::ReadBytes(std::span<uint8_t> out) {
   if (remaining() < out.size()) {
     return false;
+  }
+  if (out.empty()) {
+    return true;  // an empty span may carry a null data()
   }
   std::memcpy(out.data(), data_.data() + offset_, out.size());
   offset_ += out.size();

@@ -1,8 +1,5 @@
 #include "src/net/frame.h"
 
-#include <bit>
-#include <cstring>
-
 #include "src/crypto/canonical.h"
 #include "src/device/device.h"
 #include "src/durability/framing.h"
@@ -38,14 +35,9 @@ void AppendString(std::vector<uint8_t>& out, const std::string& value) {
   out.insert(out.end(), value.begin(), value.end());
 }
 
-// Tensor codec: CanonicalBytes' exact layout (dtype tag, rank, dims, f32 element
-// bits — src/crypto/canonical.cc) so a tensor's wire bytes ARE its canonical bytes,
-// plus the decode-side bounds that make the codec total on hostile input.
-void AppendTensor(std::vector<uint8_t>& out, const Tensor& tensor) {
-  const std::vector<uint8_t> canonical = CanonicalBytes(tensor);
-  out.insert(out.end(), canonical.begin(), canonical.end());
-}
-
+// Tensor codec: a tensor's wire bytes ARE its canonical bytes (AppendCanonicalBytes,
+// src/crypto/canonical.h); decoding adds the bounds that make the codec total on
+// hostile input.
 bool ReadTensor(ByteReader& reader, Tensor& out) {
   uint32_t dtype = 0;
   uint32_t rank = 0;
@@ -67,18 +59,15 @@ bool ReadTensor(ByteReader& reader, Tensor& out) {
     dims[i] = static_cast<int64_t>(dim);
   }
   // Element storage is validated against the REMAINING bytes before allocating.
-  if (numel * 4 > reader.remaining()) {
+  if (numel * sizeof(float) > reader.remaining()) {
     return false;
   }
+  // The little-endian element bytes are the storage itself (canonical.h asserts the
+  // byte order): one bit-pattern copy, so NaN payloads and signed zeros survive the
+  // round trip, which the canonical re-encode property requires.
   std::vector<float> values(numel);
-  for (uint64_t i = 0; i < numel; ++i) {
-    uint32_t bits = 0;
-    if (!reader.ReadU32(bits)) {
-      return false;
-    }
-    // Bit-pattern copy, not a float conversion: NaN payloads and signed zeros
-    // survive the round trip, which the canonical re-encode property requires.
-    std::memcpy(&values[i], &bits, sizeof(bits));
+  if (!reader.ReadBytes({reinterpret_cast<uint8_t*>(values.data()), numel * sizeof(float)})) {
+    return false;
   }
   out = Tensor(Shape(std::move(dims)), std::move(values));
   return true;
@@ -89,12 +78,12 @@ void AppendClaim(std::vector<uint8_t>& out, const WireClaim& claim) {
   TAO_CHECK_LE(claim.perturbations.size(), kMaxWireClaimPerturbations);
   AppendU32Le(out, static_cast<uint32_t>(claim.inputs.size()));
   for (const Tensor& input : claim.inputs) {
-    AppendTensor(out, input);
+    AppendCanonicalBytes(out, input);
   }
   AppendU32Le(out, static_cast<uint32_t>(claim.perturbations.size()));
   for (const WirePerturbation& perturbation : claim.perturbations) {
     AppendI64Le(out, perturbation.node);
-    AppendTensor(out, perturbation.delta);
+    AppendCanonicalBytes(out, perturbation.delta);
   }
   AppendString(out, claim.proposer_device);
   AppendString(out, claim.verifier_device);

@@ -86,6 +86,40 @@ Digest TestDigest(uint64_t tag) {
 
 // --------------------------------- framing units -------------------------------------
 
+// CRC-32 one bit at a time, straight from the reflected polynomial: the reference
+// the slice-by-8 tables must reproduce.
+uint32_t Crc32Bitwise(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, StandardCheckValueAndEmptyInput) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32({reinterpret_cast<const uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(std::span<const uint8_t>()), 0u);  // empty, null data()
+}
+
+TEST(Crc32Test, SliceBy8MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(0xc4c32);
+  std::vector<uint8_t> bytes(8 + 300);
+  for (uint8_t& byte : bytes) {
+    byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::span<const uint8_t> data(bytes.data() + start, length);
+      ASSERT_EQ(Crc32(data), Crc32Bitwise(data)) << "start " << start << " length " << length;
+    }
+  }
+}
+
 TEST(FramingTest, FrameRoundTripsAndStreams) {
   std::vector<uint8_t> buffer;
   const std::vector<std::vector<uint8_t>> payloads = {

@@ -36,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include "src/calib/calibrator.h"
+#include "src/device/simd.h"
 #include "src/net/client_channel.h"
 #include "src/registry/serving_gateway.h"
 #include "tests/test_claims.h"
@@ -388,6 +389,55 @@ TEST(NetCodec, SubmitRoundTripsARealClaim) {
     EXPECT_EQ(bridged.verifier_device, claim.verifier_device);
     ASSERT_EQ(bridged.inputs.size(), claim.inputs.size());
     ASSERT_EQ(bridged.perturbations.size(), claim.perturbations.size());
+  }
+}
+
+// A fixed ~64 KB Submit: a [128, 128] input whose elements sweep the FP32 bit space
+// (NaNs with payloads, denormals, infinities, signed zeros), a small input, a -0.0
+// perturbation and both device names.
+WireSubmit PinnedSubmit() {
+  std::vector<float> sweep(16384);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const uint32_t bits = static_cast<uint32_t>(i) * 0x9E3779B9u;
+    std::memcpy(&sweep[i], &bits, sizeof(bits));
+  }
+  WireSubmit submit;
+  submit.model_id = 7;
+  submit.submitter = 42;
+  submit.claim.inputs = {Tensor(Shape{128, 128}, std::move(sweep)),
+                         Tensor::Full(Shape{2, 3}, -1.5f)};
+  submit.claim.perturbations = {{3, Tensor::Full(Shape{4}, -0.0f)}};
+  submit.claim.proposer_device = "H100";
+  submit.claim.verifier_device = "A100";
+  return submit;
+}
+
+// Peers of every version exchange these exact frame bytes, so their digest is fixed:
+// a codec change that moves it breaks interoperation and must not re-pin it.
+TEST(NetCodec, PinnedSubmitFrameBytesNeverMove) {
+  const WireSubmit submit = PinnedSubmit();
+  for (const SimdBackend backend : {SimdBackend::kScalar, SimdBackend::kAvx2}) {
+    if (!SimdBackendSupported(backend)) {
+      continue;
+    }
+    ScopedSimdBackend force(backend);
+    std::vector<uint8_t> frame;
+    AppendWireFrame(frame, MessageType::kSubmit, 9, EncodeSubmit(submit));
+    ASSERT_EQ(frame.size(), 65720u);
+    EXPECT_EQ(DigestToHex(Sha256::Hash(frame)),
+              "ff252c7589228b767dc0d46589390d7c0d56e9206539ac79977b852ea34f7ceb")
+        << SimdBackendName(backend);
+
+    size_t offset = 0;
+    WireFrame wire;
+    WireSubmit out;
+    ASSERT_EQ(DecodeWireFrame(frame, offset, wire), WireDecodeStatus::kOk);
+    ASSERT_TRUE(DecodeSubmit(wire.payload, out));
+    EXPECT_EQ(EncodeSubmit(out), EncodeSubmit(submit));
+    const std::span<const float> sent = submit.claim.inputs[0].values();
+    const std::span<const float> received = out.claim.inputs[0].values();
+    ASSERT_EQ(received.size(), sent.size());
+    EXPECT_EQ(std::memcmp(received.data(), sent.data(), sent.size_bytes()), 0);
   }
 }
 
