@@ -1,8 +1,10 @@
 // Executor scaling bench: wall-clock speedup of the parallel runtime vs. thread
-// count on the wide-MLP and ResNet zoo graphs, plus the allocation traffic the
-// TensorArena removes on the output-only path. Every configuration's output is
-// checked bitwise against the sequential baseline — the protocol's determinism
-// contract — before its timing is reported.
+// count on the wide-MLP and ResNet zoo graphs, the throughput of a BERT-mini cohort
+// whose lanes run as pool tasks, the cost of one ParallelFor fork (the figure
+// kMinForkFlops is derived from), and the allocation traffic the TensorArena removes
+// on the output-only path. Every configuration's output is checked bitwise against
+// the sequential baseline — the protocol's determinism contract — before its timing
+// is reported.
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +14,8 @@
 
 #include "src/graph/executor.h"
 #include "src/models/model_zoo.h"
+#include "src/runtime/parallel_for.h"
+#include "src/runtime/thread_pool.h"
 #include "src/util/rng.h"
 #include "src/util/stopwatch.h"
 #include "src/util/table.h"
@@ -139,16 +143,81 @@ void BenchModel(const Model& model) {
   std::printf("\n");
 }
 
+// A cohort through RunOutputBatch: each lane is one pool task, so threads pay off
+// across claims even when no single operator is large enough to fork.
+void BenchCohort(const Model& model, int cohort) {
+  const Executor exec(*model.graph, DeviceRegistry::ByName("H100"));
+  Rng rng(0xc0407);
+  std::vector<std::vector<Tensor>> inputs;
+  std::vector<Tensor> expected;
+  for (int i = 0; i < cohort; ++i) {
+    inputs.push_back(model.sample_input(rng));
+    expected.push_back(exec.RunOutput(inputs.back()));
+  }
+  std::printf("== %s: cohort of %d claims through RunOutputBatch (reuse_buffers) ==\n",
+              model.name.c_str(), cohort);
+
+  TablePrinter table({"threads", "median_s", "claims_per_s", "speedup"});
+  double base = 0.0;
+  for (const int threads : {1, 2, 4}) {
+    ExecutorOptions options;
+    options.num_threads = threads;
+    options.reuse_buffers = true;
+    const std::vector<Tensor> outputs = exec.RunOutputBatch(inputs, options);
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      if (!SameBits(outputs[i], expected[i])) {
+        std::printf("DETERMINISM VIOLATION in cohort lane %zu at threads=%d\n", i, threads);
+        std::abort();
+      }
+    }
+    std::vector<double> times;
+    for (int i = 0; i < kRepeats; ++i) {
+      Stopwatch watch;
+      (void)exec.RunOutputBatch(inputs, options);
+      times.push_back(watch.ElapsedSeconds());
+    }
+    std::sort(times.begin(), times.end());
+    const double t = times[times.size() / 2];
+    if (threads == 1) {
+      base = t;
+    }
+    table.AddRow({std::to_string(threads), TablePrinter::Fixed(t, 4),
+                  TablePrinter::Fixed(cohort / t, 0), TablePrinter::Fixed(base / t, 2)});
+  }
+  table.Print();
+  std::printf("\n");
+}
+
+// Median wall time of an empty-body width-4 ParallelFor on the shared pool: what an
+// operator pays to fork before any of its work runs.
+void BenchForkCost() {
+  const ParallelFor parallel(&ThreadPool::Shared(), 4);
+  std::vector<double> micros;
+  for (int i = 0; i < 2000; ++i) {
+    Stopwatch watch;
+    parallel(4, [](int64_t, int64_t) {});
+    micros.push_back(watch.ElapsedSeconds() * 1e6);
+  }
+  std::sort(micros.begin(), micros.end());
+  std::printf("Fork cost: empty width-4 ParallelFor on the shared pool (%d workers), "
+              "median %.1f us over %zu runs; operators fork at >= %.1f MFLOP\n\n",
+              ThreadPool::Shared().num_workers(), micros[micros.size() / 2], micros.size(),
+              static_cast<double>(kMinForkFlops) / 1e6);
+}
+
 }  // namespace
 }  // namespace tao
 
 int main() {
-  std::printf("Executor scaling: parallel runtime (scheduler + ParallelFor + arena)\n");
+  std::printf(
+      "Executor scaling: parallel runtime (lanes as pool tasks + ParallelFor + arena)\n");
   std::printf("Speedup is relative to the sequential (num_threads=1, no-arena) median;\n");
   std::printf("allocation columns cover one run (requests = kernel outputs + per-chunk\n");
   std::printf("workspaces, so they grow with thread count as chunks multiply).\n\n");
+  tao::BenchForkCost();
   tao::BenchModel(tao::BuildWideMlp());
   tao::BenchModel(tao::BuildResNetMini());
+  tao::BenchCohort(tao::BuildBertMini(), 8);
   tao::BenchTraceRetainingBounds(tao::BuildResNetMini());
   return 0;
 }

@@ -16,6 +16,8 @@
 // the newest snapshot and replays only the tail). Each recovered coordinator is
 // again cross-checked bitwise against an uninterrupted in-memory run.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -115,9 +117,11 @@ bool BitwiseEqual(const Coordinator& got, const Coordinator& want) {
   return true;
 }
 
+// Unique per process, so two copies of the bench on one host never share a changelog.
 std::string BenchDir(const std::string& tag) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("tao_bench_recovery_" + tag);
+      std::filesystem::temp_directory_path() /
+      ("tao_bench_recovery_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
 }

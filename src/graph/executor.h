@@ -3,15 +3,16 @@
 // per operator). The device profile parameterizes every reduction/intrinsic, so running
 // the same graph under two profiles reproduces cross-device FP divergence.
 //
-// Execution is a thin facade over the parallel runtime layer (src/runtime/): a
-// dependency-counting Scheduler drains operator nodes across the shared ThreadPool
-// (inter-op), a ParallelFor handle threaded through OpContext splits hot kernels'
-// outer loops (intra-op), and a TensorArena recycles dead intermediates in
-// output-only runs. The protocol invariant is bitwise determinism: traces are
-// identical for every num_threads and arena setting, because thread count only
-// repartitions loop iterations whose outputs are disjoint — commitments and bound
-// checks hash exact values, so this is load-bearing, not cosmetic (see
-// docs/runtime.md).
+// Execution runs on the parallel runtime layer (src/runtime/). Claims, not operators,
+// are the unit of parallelism: a batched run's lanes are tasks of one ParallelFor over
+// the shared ThreadPool, and inside a lane the operators run in canonical topological
+// order on one thread. Only an operator of at least kMinForkFlops receives the
+// ParallelFor handle through OpContext and splits its outer loop. A TensorArena
+// recycles dead intermediates in output-only runs. The protocol invariant is bitwise
+// determinism: traces are identical for every num_threads and arena setting, because
+// thread count only decides which thread runs a lane and repartitions loop iterations
+// whose outputs are disjoint — commitments and bound checks hash exact values, so this
+// is load-bearing, not cosmetic (see docs/runtime.md).
 
 #ifndef TAO_SRC_GRAPH_EXECUTOR_H_
 #define TAO_SRC_GRAPH_EXECUTOR_H_
@@ -45,8 +46,9 @@ struct ExecutorOptions {
 
   // --- runtime policy ---------------------------------------------------------------
   // Worker count including the calling thread. 1 = the seed's sequential interpreter
-  // (exact baseline); >1 enables inter-op scheduling and intra-op loop splitting on
-  // the shared pool. Values and bounds are bitwise identical either way.
+  // (exact baseline); >1 runs a batch's lanes concurrently on the shared pool and
+  // splits the loops of operators of at least kMinForkFlops. Values and bounds are
+  // bitwise identical either way.
   int num_threads = 1;
   // Recycle intermediates whose last consumer has executed through a TensorArena.
   // Only effective on the output-only path (RunOutput): full traces retain every
@@ -85,9 +87,9 @@ class Executor {
   // --- batched execution --------------------------------------------------------------
   // One lane of a batched run: an independent execution of this graph with its own
   // inputs, optional perturbations, and device profile, sharing the graph's weights
-  // (and, with `reuse_buffers`, one TensorArena) with every other lane. All lanes are
-  // lowered into a single Scheduler DAG, so node tasks from different lanes interleave
-  // in the pool instead of running back-to-back.
+  // (and, with `reuse_buffers`, one TensorArena) with every other lane. A lane is one
+  // pool task: its operators run in order on one thread, while other lanes run on
+  // other threads.
   struct BatchItem {
     const std::vector<Tensor>* inputs = nullptr;
     const std::vector<Perturbation>* perturbations = nullptr;  // null = none
@@ -95,17 +97,18 @@ class Executor {
     // Retain every node's value (Run semantics). When false the lane is output-only
     // (RunOutput semantics) and its dead intermediates can be arena-recycled.
     bool keep_values = false;
-    // Runs as the lane's final DAG node, after every operator of the lane has
-    // executed and while other lanes may still be executing — the natural place for
-    // per-claim commitment checks. Receives the lane index and the lane's trace.
+    // Runs on the lane's thread right after the lane's last operator, while other
+    // lanes may still be executing — the natural place for per-claim commitment
+    // checks. Receives the lane index and the lane's trace.
     std::function<void(size_t item, const ExecutionTrace&)> on_complete;
   };
 
-  // Executes all lanes as one dependency-counting DAG. With num_threads <= 1 this is
-  // exactly the lanes run back-to-back in order (the sequential baseline); with more
-  // threads lanes interleave. Values are bitwise identical either way, per lane, to
-  // an individual Run/RunOutput call with the same options. `arena_stats` aggregates
-  // the shared arena's counters across every recycling lane.
+  // Executes every lane, each as one task of a ParallelFor over the cohort. With
+  // num_threads <= 1 this is exactly the lanes run back-to-back in order (the
+  // sequential baseline); with more threads lanes run concurrently, and a single lane
+  // runs on the caller. Values are bitwise identical either way, per lane, to an
+  // individual Run/RunOutput call with the same options. `arena_stats` aggregates the
+  // shared arena's counters across every recycling lane.
   std::vector<ExecutionTrace> RunBatch(const std::vector<BatchItem>& items,
                                        const ExecutorOptions& options = {},
                                        TensorArena::Stats* arena_stats = nullptr) const;

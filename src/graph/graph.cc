@@ -48,6 +48,7 @@ NodeId Graph::AddOp(const std::string& op, const std::string& label, std::vector
   node.label = label;
   node.inputs = std::move(inputs);
   node.shape = kernel.InferShape(input_shapes, attrs);
+  node.flops = kernel.Flops(input_shapes, node.shape, attrs);
   node.attrs = std::move(attrs);
   op_nodes_.push_back(node.id);
   nodes_.push_back(std::move(node));
@@ -78,20 +79,6 @@ int64_t Graph::TotalFlops() const {
     total += NodeFlops(id);
   }
   return total;
-}
-
-int64_t Graph::NodeFlops(NodeId id) const {
-  const Node& n = node(id);
-  if (n.kind != NodeKind::kOp) {
-    return 0;
-  }
-  const OpKernel& kernel = OpRegistry::Instance().Get(n.op);
-  std::vector<Shape> input_shapes;
-  input_shapes.reserve(n.inputs.size());
-  for (const NodeId in : n.inputs) {
-    input_shapes.push_back(node(in).shape);
-  }
-  return kernel.Flops(input_shapes, n.shape, n.attrs);
 }
 
 std::string Graph::NodeSignature(NodeId id) const {

@@ -31,6 +31,9 @@ struct Node {
   Attrs attrs;
   Shape shape;   // output shape
   Tensor value;  // parameter payload for kParam nodes
+  // FLOPs of one forward execution of this operator (0 for inputs and params),
+  // computed once by AddOp.
+  int64_t flops = 0;
 };
 
 class Graph {
@@ -60,7 +63,7 @@ class Graph {
 
   // FLOPs of one forward execution (sum of per-operator kernel FLOP counts).
   int64_t TotalFlops() const;
-  int64_t NodeFlops(NodeId id) const;
+  int64_t NodeFlops(NodeId id) const { return node(id).flops; }
 
   // Canonical operator signature sigma(n) = canon(label, kind, op, inputs, attrs);
   // hashed into the graph-structure Merkle tree r_g (Sec. 5.2).

@@ -106,7 +106,10 @@ std::map<NodeId, Tensor> ExecuteSlice(const Graph& graph, const DeviceProfile& d
           << "missing live-in tensor for node " << in << " (" << producer.label << ")";
       op_inputs.push_back(external->second);
     }
-    const OpContext ctx{device, op_inputs, node.attrs, parallel_handle};
+    // The executor's rule: only an operator large enough to repay a fork splits.
+    const ParallelFor* op_parallel =
+        node.flops >= kMinForkFlops ? parallel_handle : nullptr;
+    const OpContext ctx{device, op_inputs, node.attrs, op_parallel};
     values[node.id] = kernel.Forward(ctx);
   }
   return values;

@@ -46,9 +46,9 @@ std::vector<Slice> PartitionSlice(const Slice& slice, int64_t n);
 
 // Re-executes the operators of `slice` on `device`, reading live-in values from
 // `boundary` (params come from the graph). Returns values for every op in the slice.
-// `num_threads > 1` splits kernel outer loops across the shared runtime pool
-// (intra-op); the slice's operators still run in canonical order, and values are
-// bitwise identical for any thread count.
+// `num_threads > 1` splits the outer loops of operators of at least kMinForkFlops
+// across the shared runtime pool; the slice's operators still run in canonical order,
+// and values are bitwise identical for any thread count.
 std::map<NodeId, Tensor> ExecuteSlice(const Graph& graph, const DeviceProfile& device,
                                       const Slice& slice,
                                       const std::map<NodeId, Tensor>& boundary,

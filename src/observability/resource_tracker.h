@@ -6,7 +6,7 @@
 // (`pthread_getcpuclockid` + `CLOCK_THREAD_CPUTIME_ID` semantics) so the last
 // sample is always fresh even if nobody is polling. `Counters()` folds the live
 // per-thread readings, process arena bytes (TensorArena's process-wide gauges),
-// and registered external gauges (pool/scheduler depths) into `worker/<n>/...`,
+// and registered external gauges (e.g. the runtime pool's depth) into `worker/<n>/...`,
 // `lane/<n>/...`, and `resource/...` NamedCounters for the monitoring endpoint.
 //
 // Safety: a thread's clock id is only valid while the thread lives, so the guard's

@@ -51,7 +51,7 @@ enum class SpanKind : uint8_t {
   kSubmit,          // admission: Submit() entry -> sequence assigned
   kQueueWait,       // admission -> popped by a verify worker
   kBatchForm,       // worker: window gate + batch sizing + queue pop
-  kPhase1,          // batched phase-1 DAG execution (cohort interval)
+  kPhase1,          // batched phase-1 run, one pool task per lane (cohort interval)
   kThresholdCheck,  // output threshold check + lazy re-exec (supervised only)
   kResolveWait,     // handed to the resolve lane -> lane picked it up
   kResolve,         // the lane's coordinator interaction (dispute game included)

@@ -35,9 +35,10 @@ struct OpContext {
   const DeviceProfile& device;
   const std::vector<Tensor>& inputs;
   const Attrs& attrs;
-  // Intra-op parallelism handle threaded through by the runtime executor; null means
-  // run sequentially. Kernels may only split loops whose iterations write disjoint
-  // output ranges, so results stay bitwise identical for any thread count.
+  // Intra-op parallelism handle threaded through by the runtime executor, which
+  // passes it only to operators of at least kMinForkFlops; null means run
+  // sequentially. Kernels may only split loops whose iterations write disjoint output
+  // ranges, so results stay bitwise identical for any thread count.
   const ParallelFor* parallel = nullptr;
   // Output allocator; null means fresh heap allocation. Arena-served buffers are not
   // zeroed: a kernel using AllocateOutput must write every output element.

@@ -28,11 +28,11 @@ std::vector<ClaimPhase1> BatchVerifier::ExecutePhase1(const std::vector<BatchCla
   const Graph& graph = *model_.graph;
   const NodeId output = graph.output();
 
-  // ---- Batched phase 1: one scheduler DAG for the whole cohort ----------------------
+  // ---- Batched phase 1: one batched run for the whole cohort -----------------------
   // Every lane is output-only — proposer lanes included — so the batch's working set
   // stays flat in the number of supervised claims; flagged claims re-acquire their
   // full trace lazily below. The commitment check for each claim runs as its
-  // proposer lane's epilogue node, interleaved with other lanes' compute.
+  // proposer lane's epilogue, while other lanes are still computing.
   std::vector<Executor::BatchItem> items;
   items.reserve(2 * num_claims);
   constexpr size_t kNoLane = static_cast<size_t>(-1);

@@ -4,13 +4,12 @@
 //
 // A verifier supervising K independent claims against ONE committed model used to
 // re-walk the model once per claim, leaving the runtime pool idle between claims.
-// BatchVerifier instead lowers the whole cohort's phase-1 work into a single
-// Scheduler DAG (Executor::RunBatch): K proposer executions plus one challenger
-// re-execution per supervised claim, all sharing the model weights and one
-// TensorArena, each proposer lane terminated by a commitment-check epilogue node
-// that computes C0 while other lanes are still executing. Node tasks from different
-// claims interleave in the pool, so the batch fills the machine even when any single
-// graph has too little width to.
+// BatchVerifier instead runs the whole cohort's phase-1 work as one batched run
+// (Executor::RunBatch): K proposer executions plus one challenger re-execution per
+// supervised claim, all sharing the model weights and one TensorArena, each proposer
+// lane ending in a commitment-check epilogue that computes C0 while other lanes are
+// still executing. Each lane is one pool task, so the batch fills the machine with
+// whole claims even though no mini-model operator is large enough to split.
 //
 // Every lane — proposer lanes included, supervised or not — is output-only, so the
 // batch's peak memory no longer scales with supervised-claims-per-batch. The output
@@ -21,7 +20,7 @@
 //
 // The claim lifecycle is split into two independently callable halves so the service
 // layer (src/service/) can pipeline them:
-//   * ExecutePhase1: the batched DAG + threshold checks + lazy re-execution. Touches
+//   * ExecutePhase1: the batched run + threshold checks + lazy re-execution. Touches
 //     no coordinator state, so cohorts from different workers can execute
 //     concurrently.
 //   * ResolveClaim: one claim's coordinator interaction (submission, window,
@@ -97,9 +96,9 @@ struct ClaimPhase1 {
 };
 
 struct BatchVerifierOptions {
-  // Dispute policy for flagged claims. `dispute.num_threads` also sets the width of
-  // the batched phase-1 DAG, and `dispute.challenge_window` / `proposer_bond` govern
-  // unsupervised submissions.
+  // Dispute policy for flagged claims. `dispute.num_threads` also sets how many of
+  // the batched phase 1's lanes run at once, and `dispute.challenge_window` /
+  // `proposer_bond` govern unsupervised submissions.
   DisputeOptions dispute;
   // Recycle dead intermediates of output-only lanes through one shared TensorArena.
   bool reuse_buffers = false;
@@ -119,7 +118,7 @@ class BatchVerifier {
   std::vector<BatchClaimOutcome> VerifyBatch(const std::vector<BatchClaim>& claims,
                                              TensorArena::Stats* arena_stats = nullptr);
 
-  // The cohort's batched phase 1 only: one scheduler DAG for every lane, per-claim
+  // The cohort's batched phase 1 only: one batched run of every lane, per-claim
   // C0 epilogues, output threshold checks, and the lazy full re-execution of flagged
   // claims' proposer traces. Touches no coordinator state — safe to call from
   // concurrent service workers sharing this verifier.

@@ -38,7 +38,8 @@ struct DisputeOptions {
   AdjudicationOptions adjudication;
   // Runtime policy (src/runtime/): with num_threads > 1 the phase-1 proposer and
   // challenger executions run concurrently on the shared pool, per-round Merkle proof
-  // verification fans out, and every (re-)execution splits its kernels' outer loops.
+  // verification fans out, and every (re-)execution splits the loops of its operators
+  // of at least kMinForkFlops.
   // Traces, verdicts, rounds, flops, and gas are identical for any value — the
   // protocol compares exact values and the runtime is bitwise deterministic.
   int num_threads = 1;
@@ -137,9 +138,9 @@ class DisputeGame {
   // Everything after phase 1: commitment submission, the output threshold check, and
   // — when the check flags the claim — the full dispute pipeline. `proposer_trace`
   // and `challenger_output` are the phase-1 execution results, computed either by
-  // Run() above or externally (the BatchVerifier lowers K claims' phase-1 runs into
-  // one scheduler DAG and feeds each result here); `c0` is the proposer's result
-  // commitment over that trace's output. Outcomes are identical to Run() because the
+  // Run() above or externally (the BatchVerifier runs K claims' phase-1 executions as
+  // the lanes of one batched run and feeds each result here); `c0` is the proposer's
+  // result commitment over that trace's output. Outcomes are identical to Run() because the
   // runtime is bitwise deterministic, so where phase 1 executed cannot matter.
   // `precomputed_flagged`, when set, is the caller's already-evaluated output
   // threshold verdict (the check is deterministic, so passing it skips a duplicate

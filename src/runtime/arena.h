@@ -1,16 +1,17 @@
 // TensorArena: a recycling allocator for intermediate tensors.
 //
-// The executor's liveness pass (dependency ref-counts over the canonical topological
-// order) hands a node's output buffer back to the arena once its last consumer has
-// executed and the value is not retained by the caller; the next allocation of equal
-// element count adopts that buffer instead of touching the system allocator. Buffers
-// are recycled only when uniquely owned, so any tensor still aliased by a trace, a
-// cache, or a commitment keeps its storage untouched.
+// The executor's liveness pass (per-lane consumer counts over the canonical
+// topological order) hands a node's output buffer back to the arena once its last
+// consumer has executed and the value is not retained by the caller; the next
+// allocation of equal element count adopts that buffer instead of touching the system
+// allocator. Buffers are recycled only when uniquely owned, so any tensor still
+// aliased by a trace, a cache, or a commitment keeps its storage untouched.
 //
 // Bitwise determinism: the arena changes *where* a value lives, never the value —
 // kernels fully overwrite the adopted buffer before it is published.
 //
-// Thread safety: all methods are safe to call concurrently from scheduler workers.
+// Thread safety: all methods are safe to call concurrently; the lanes of one batched
+// run share one arena from different pool threads.
 
 #ifndef TAO_SRC_RUNTIME_ARENA_H_
 #define TAO_SRC_RUNTIME_ARENA_H_

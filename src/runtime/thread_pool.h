@@ -1,18 +1,17 @@
 // Fixed-size reusable worker pool — the single source of threads for the whole
-// runtime layer. Both levels of parallelism share it: the Scheduler drains graph
-// nodes on it (inter-op) and ParallelFor splits kernel outer loops across it
-// (intra-op). Sharing one pool keeps total thread count fixed no matter how the two
-// levels nest.
+// runtime layer. Both levels of parallelism share it: the executor runs a cohort's
+// lanes as tasks of one ParallelFor, and an operator of at least kMinForkFlops splits
+// its outer loop with a ParallelFor nested inside its lane's task. Sharing one pool
+// keeps total thread count fixed no matter how the two levels nest.
 //
 // Deadlock-freedom contract: a pool task MAY block, but only on work that some
 // actively running thread is already executing — never on a task that is still
 // queued. ParallelFor achieves this by having every waiter first drain chunks
-// itself (it waits only for chunks in flight on other threads); the Scheduler's
-// helpers exit instead of parking, and its caller waits only while nodes are
-// executing elsewhere. Every wait chain therefore bottoms out at a thread doing
-// pure compute, so no cycle of queued-but-unstarted dependencies can form. New
-// runtime primitives must preserve this property: submitting a task and then
-// blocking until it STARTS is the one pattern that can deadlock a fixed pool.
+// itself, so it waits only for chunks in flight on other threads. A lane task that
+// forks an operator is such a waiter. Every wait chain therefore bottoms out at a
+// thread doing pure compute, so no cycle of queued-but-unstarted dependencies can
+// form. New runtime primitives must preserve this property: submitting a task and
+// then blocking until it STARTS is the one pattern that can deadlock a fixed pool.
 
 #ifndef TAO_SRC_RUNTIME_THREAD_POOL_H_
 #define TAO_SRC_RUNTIME_THREAD_POOL_H_

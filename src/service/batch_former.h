@@ -2,7 +2,7 @@
 //
 // The PR-2 marketplace sized every batch from one config knob (`verify_batch_size`).
 // That knob is wrong in both directions under open-ended traffic: too small and the
-// scheduler DAG cannot fill the machine when the queue is deep; too large and a
+// cohort's lanes cannot fill the machine when the queue is deep; too large and a
 // burst of supervised claims blows the working set. The BatchFormer replaces it with
 // a policy driven by two live signals:
 //

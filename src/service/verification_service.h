@@ -14,7 +14,7 @@
 //                                                    resolve lane 1 ──▶ (ordered or
 //                                                    ...     lane S-1 ──▶ unordered)
 //
-//   * Verify workers run only coordinator-free work: the batched phase-1 DAG, the
+//   * Verify workers run only coordinator-free work: the batched phase-1 run, the
 //     threshold checks, and the lazy full re-execution of flagged claims. Any
 //     number of workers can execute cohorts concurrently.
 //   * There is ONE resolve/dispute lane per coordinator shard (the service derives
@@ -61,10 +61,11 @@
 namespace tao {
 
 struct ServiceOptions {
-  // Verify workers (dedicated threads running batched phase 1). The heavy kernels
-  // additionally split across the shared runtime pool per
-  // `verifier.dispute.num_threads`, so 1 worker already uses every core; more
-  // workers overlap cohort setup/teardown and lazy re-executions.
+  // Verify workers (dedicated threads running batched phase 1). Each cohort runs its
+  // lanes as tasks on the shared runtime pool, up to `verifier.dispute.num_threads`
+  // at once, so a cohort of one claim runs on one core (its operators fork only at
+  // kMinForkFlops). More workers run more cohorts at once and overlap cohort
+  // setup/teardown and lazy re-executions.
   int num_workers = 1;
   // Pin the shared runtime pool's workers to cores at service startup (round-robin
   // over hardware_concurrency; TAO_DISABLE_PINNING overrides; no-op on 1-core

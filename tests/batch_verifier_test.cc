@@ -1,7 +1,7 @@
 // Batched-vs-sequential equivalence suite for the batch verification pipeline.
 //
-// The protocol invariant under test: lowering K claims' phase-1 executions into one
-// scheduler DAG (BatchVerifier / Executor::RunBatch) changes WHERE the numbers are
+// The protocol invariant under test: running K claims' phase-1 executions as the lanes
+// of one batched run (BatchVerifier / Executor::RunBatch) changes WHERE the numbers are
 // computed, never the numbers — so for every (threads x arena x batch-size)
 // combination, verdicts, per-claim gas, C0 digests, final states, the coordinator
 // ledger, and MarketplaceStats are bitwise identical to the one-claim-at-a-time
@@ -173,16 +173,17 @@ TEST_F(BatchVerifierFixture, RunOutputBatchMatchesIndividualRuns) {
   }
 }
 
-// Epilogue nodes run inside the DAG, once per lane, after the lane's output exists.
+// Epilogues run on the lane's thread, once per lane, after the lane's output exists.
+// At 2 threads the cohort's ParallelFor puts two of the 9 lanes in one chunk.
 TEST_F(BatchVerifierFixture, BatchEpilogueSeesCompletedLane) {
   const Graph& graph = *model_->graph;
   const Executor exec(graph, DeviceRegistry::Reference());
   Rng rng(0xba7c1);
   std::vector<std::vector<Tensor>> batch_inputs;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 9; ++i) {
     batch_inputs.push_back(model_->sample_input(rng));
   }
-  for (const int threads : {1, 8}) {
+  for (const int threads : {1, 2, 8}) {
     std::vector<Executor::BatchItem> items(batch_inputs.size());
     std::vector<int> completions(batch_inputs.size(), 0);
     std::vector<Tensor> seen_outputs(batch_inputs.size());

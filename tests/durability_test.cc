@@ -23,6 +23,8 @@
 //     recovery == original bitwise, and mid-run writer crashes recover to a prefix
 //     of each lane's reconstructed action stream.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -54,11 +56,13 @@ using Kind = CoordinatorAction::Kind;
 
 // ------------------------------- shared helpers --------------------------------------
 
-// Fresh per-test directory under the system temp root (removed up front so a
-// re-run never sees a previous run's files).
+// Fresh per-test directory under the system temp root. The pid keeps two test
+// processes on one host (e.g. a Release and a sanitizer build) out of each other's
+// changelogs; the up-front removal means a re-run never sees a previous run's files.
 std::string MakeTestDir(const std::string& tag) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("tao_durability_" + tag);
+      std::filesystem::temp_directory_path() /
+      ("tao_durability_" + std::to_string(::getpid()) + "_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

@@ -18,6 +18,8 @@
 #include "src/graph/executor.h"
 #include "src/models/model_zoo.h"
 #include "src/ops/op_kernel.h"
+#include "src/runtime/parallel_for.h"
+#include "src/runtime/thread_pool.h"
 #include "src/util/rng.h"
 
 namespace tao {
@@ -678,6 +680,45 @@ std::string SweepParamName(const ::testing::TestParamInfo<std::tuple<int, int>>&
 
 INSTANTIATE_TEST_SUITE_P(
     AllProfilesAndOps, SimdOpSweepTest,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(SimdSweepProfiles().size())),
+                       ::testing::Range(0, static_cast<int>(SimdSweepCases().size()))),
+    SweepParamName);
+
+// ParallelFor may only repartition loop iterations that write disjoint outputs
+// (docs/runtime.md). The executor forks only large operators, so the zoo models rarely
+// reach a kernel's split loop; this sweep drives every kernel's split loop directly, on
+// whichever backend is active.
+class ParallelOpSweepTest : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  void SetUp() override { RegisterAllOps(); }
+};
+
+TEST_P(ParallelOpSweepTest, ForwardAndBoundBitwiseAcrossParallelForWidths) {
+  const auto [profile, case_index] = GetParam();
+  const DeviceProfile device = SimdSweepProfiles()[static_cast<size_t>(profile)];
+  const SoundnessCase c = SimdSweepCases()[static_cast<size_t>(case_index)];
+  std::vector<Tensor> inputs;
+  for (size_t i = 0; i < c.shapes.size(); ++i) {
+    inputs.push_back(RandTensor(c.shapes[i], 400 + case_index * 10 + i, c.scale));
+  }
+  const OpKernel& kernel = OpRegistry::Instance().Get(c.op);
+  const Tensor out = kernel.Forward({device, inputs, c.attrs});
+  const DTensor bound = kernel.Bound(
+      {device, inputs, out, c.attrs, BoundMode::kDeterministic, kDefaultLambda});
+  ThreadPool pool(7);
+  for (const int width : {2, 8}) {
+    const ParallelFor parallel(&pool, width);
+    const Tensor split_out = kernel.Forward({device, inputs, c.attrs, &parallel});
+    const DTensor split_bound = kernel.Bound({device, inputs, split_out, c.attrs,
+                                              BoundMode::kDeterministic, kDefaultLambda,
+                                              &parallel});
+    EXPECT_TRUE(BitwiseEqual(out, split_out)) << c.op << " at width " << width;
+    EXPECT_TRUE(BitwiseEqualD(bound, split_bound)) << c.op << " at width " << width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProfilesAndOps, ParallelOpSweepTest,
     ::testing::Combine(::testing::Range(0, static_cast<int>(SimdSweepProfiles().size())),
                        ::testing::Range(0, static_cast<int>(SimdSweepCases().size()))),
     SweepParamName);

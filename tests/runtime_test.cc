@@ -3,6 +3,7 @@
 // trace's values AND bounds are bitwise identical for every num_threads and arena
 // setting, across model-zoo graphs, because commitments hash exact values.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -21,7 +22,6 @@
 #include "src/protocol/multistep.h"
 #include "src/runtime/arena.h"
 #include "src/runtime/parallel_for.h"
-#include "src/runtime/scheduler.h"
 #include "src/runtime/thread_pool.h"
 #include "src/util/rng.h"
 
@@ -188,32 +188,6 @@ TEST(TensorArenaTest, RefusesSharedBuffers) {
   EXPECT_EQ(alias.numel(), 8);  // alias unharmed
 }
 
-// ----------------------------------- Scheduler -------------------------------------
-
-TEST(SchedulerTest, RespectsDependenciesAcrossThreadCounts) {
-  // Diamond DAG: 0 -> {1, 2} -> 3. Every execution order must see producers first.
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(4);
-    const Scheduler scheduler(&pool, threads);
-    const std::vector<std::vector<int32_t>> consumers = {{1, 2}, {3}, {3}, {}};
-    std::vector<int32_t> pending = {0, 1, 1, 2};
-    std::vector<std::atomic<int>> finished(4);
-    scheduler.Run(consumers, pending, [&](int32_t node) {
-      if (node == 1 || node == 2) {
-        EXPECT_EQ(finished[0].load(), 1);
-      }
-      if (node == 3) {
-        EXPECT_EQ(finished[1].load(), 1);
-        EXPECT_EQ(finished[2].load(), 1);
-      }
-      finished[static_cast<size_t>(node)].fetch_add(1);
-    });
-    for (const auto& f : finished) {
-      EXPECT_EQ(f.load(), 1);
-    }
-  }
-}
-
 // ------------------------- Bitwise determinism of execution ------------------------
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
@@ -278,6 +252,49 @@ TEST(RuntimeDeterminismTest, BertMiniTracesBitwiseIdentical) {
 
 TEST(RuntimeDeterminismTest, ResNetMiniTracesBitwiseIdentical) {
   ExpectIdenticalTraces(BuildResNetMini(), DeviceRegistry::Reference());
+}
+
+// WideMlp's first layer is the one served operator above the fork threshold, so a
+// cohort of it runs a forked kernel inside each lane task, nested on the same pool.
+TEST(RuntimeDeterminismTest, ForkedOperatorInsideLaneTasksMatchesRunOutput) {
+  const Model model = BuildWideMlp(
+      WideMlpConfig{.input_dim = 16384, .hidden_dim = 64, .num_classes = 32});
+  const Graph& graph = *model.graph;
+  int64_t largest = 0;
+  for (const NodeId id : graph.op_nodes()) {
+    largest = std::max(largest, graph.NodeFlops(id));
+  }
+  ASSERT_GE(largest, kMinForkFlops);
+
+  const std::vector<DeviceProfile>& fleet = DeviceRegistry::Fleet();
+  Rng rng(0x7a6);
+  std::vector<std::vector<Tensor>> inputs;
+  std::vector<Tensor> expected;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    inputs.push_back(model.sample_input(rng));
+    expected.push_back(Executor(graph, fleet[i]).RunOutput(inputs.back()));
+  }
+  ASSERT_GE(inputs.size(), 3u);
+  std::vector<Executor::BatchItem> items(inputs.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i].inputs = &inputs[i];
+    items[i].device = &fleet[i];
+  }
+  const Executor exec(graph, DeviceRegistry::Reference());
+  for (const int threads : {1, 2, 8}) {
+    for (const bool reuse : {false, true}) {
+      ExecutorOptions options;
+      options.num_threads = threads;
+      options.reuse_buffers = reuse;
+      const std::vector<ExecutionTrace> traces = exec.RunBatch(items, options);
+      ASSERT_EQ(traces.size(), items.size());
+      for (size_t i = 0; i < traces.size(); ++i) {
+        EXPECT_TRUE(BitwiseEqual(traces[i].value(graph.output()), expected[i]))
+            << fleet[i].name << " lane diverged at num_threads=" << threads
+            << " reuse=" << reuse;
+      }
+    }
+  }
 }
 
 TEST(RuntimeDeterminismTest, PerturbedRunsIdenticalAcrossThreads) {
