@@ -2,9 +2,10 @@
 //
 // Every claim admitted by a VerificationService leaves a chain of timestamped
 // spans across its whole lifecycle — submit/admit, queue wait, batch formation,
-// batched phase-1 execution, threshold check, resolve-lane wait, the dispute
-// rounds, verdict delivery — tagged with the claim's model id, global submission
-// sequence, coordinator claim id (once assigned), shard, and verify-worker index.
+// batched phase-1 execution, threshold check (holding a flagged claim's dispute
+// rounds), resolve-lane wait, resolve, verdict delivery — tagged with the claim's
+// model id, global submission sequence, coordinator claim id (once assigned),
+// shard, and verify-worker index.
 //
 // The hot path is built to be invisible to the pipeline it observes:
 //
@@ -46,16 +47,19 @@
 namespace tao {
 
 // Pipeline stage a span measures. Kinds appear at most once per claim, except
-// kDisputeRound (one per round) — the chain order below is the claim lifecycle.
+// kDisputeRound (one per round) — the chain order below is the claim lifecycle,
+// except that kDisputeRound spans lie inside kThresholdCheck.
 enum class SpanKind : uint8_t {
   kSubmit,          // admission: Submit() entry -> sequence assigned
   kQueueWait,       // admission -> popped by a verify worker
   kBatchForm,       // worker: window gate + batch sizing + queue pop
   kPhase1,          // batched phase-1 run, one pool task per lane (cohort interval)
-  kThresholdCheck,  // output threshold check + lazy re-exec (supervised only)
+  kThresholdCheck,  // output threshold check; when flagged, through the re-exec
+                    // and dispute plan (supervised only)
   kResolveWait,     // handed to the resolve lane -> lane picked it up
-  kResolve,         // the lane's coordinator interaction (dispute game included)
-  kDisputeRound,    // one dispute-game round (detail = round index)
+  kResolve,         // the lane's coordinator actions (a dispute's planned moves)
+  kDisputeRound,    // one planned dispute round, inside kThresholdCheck (detail =
+                    // round index; claim_id comes from kResolve)
   kDeliver,         // resolved -> verdict delivered (ordered-mode park included)
 };
 
@@ -78,7 +82,7 @@ struct SpanRecord {
 };
 
 // Identity of the claim the current thread is working on, published by the
-// service layer so layers below it (batch verifier, dispute game) can record
+// service layer so layers below it (batch verifier, dispute plan) can record
 // spans without threading ids through every protocol API.
 struct TraceContext {
   uint64_t model = 0;
@@ -88,9 +92,10 @@ struct TraceContext {
 };
 
 // Scoped thread-local publication of the claim context(s) the current thread is
-// driving. A resolve lane publishes exactly one context; a verify worker
-// publishes its whole cohort (indexed by claim position) around ExecutePhase1.
-// Nested scopes restore the previous publication on destruction.
+// driving. A verify worker publishes its whole cohort (indexed by claim position)
+// around ExecutePhase1; a task planning one flagged claim's dispute publishes
+// exactly that claim's context. Nested scopes restore the previous publication on
+// destruction.
 class ScopedTraceContext {
  public:
   ScopedTraceContext(const TraceContext* contexts, size_t count);

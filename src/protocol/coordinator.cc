@@ -352,6 +352,8 @@ void Coordinator::RecordMerkleCheck(ClaimId id, int64_t proofs) {
   Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   ClaimRecord& claim = MutableClaim(shard, id);
+  TAO_CHECK(claim.state == ClaimState::kDisputed);
+  TAO_CHECK_GE(proofs, 0);
   claim.merkle_checks += proofs;
   claim.gas += schedule_.merkle_check * proofs;
   shard.gas += schedule_.merkle_check * proofs;

@@ -1,5 +1,6 @@
 #include "src/protocol/dispute.h"
 
+#include <map>
 #include <utility>
 
 #include "src/observability/trace.h"
@@ -41,7 +42,8 @@ DisputeGame::DisputeGame(const Model& model, const ModelCommitment& commitment,
 DisputeResult DisputeGame::Run(const std::vector<Tensor>& inputs,
                                const DeviceProfile& proposer_device,
                                const DeviceProfile& challenger_device,
-                               const std::vector<Executor::Perturbation>& perturbations) {
+                               const std::vector<Executor::Perturbation>& perturbations,
+                               uint64_t shard) {
   const Graph& graph = *model_.graph;
 
   ExecutorOptions exec_options;
@@ -60,48 +62,34 @@ DisputeResult DisputeGame::Run(const std::vector<Tensor>& inputs,
       pool,
       [&] { proposer_trace = proposer_exec.RunPerturbed(inputs, perturbations, exec_options); },
       [&] { challenger_trace = challenger_exec.Run(inputs, exec_options); });
+  const NodeId output = graph.output();
   ResultMeta meta;
   meta.device = proposer_device.name;
   meta.challenge_window = options_.challenge_window;
-  const Digest c0 = ComputeResultCommitment(commitment_, inputs,
-                                            proposer_trace.value(graph.output()), meta);
-  return RunFromPhase1(inputs, challenger_device, proposer_trace,
-                       challenger_trace.value(graph.output()), c0);
+  const Digest c0 =
+      ComputeResultCommitment(commitment_, inputs, proposer_trace.value(output), meta);
+
+  DisputeResult result;
+  if (thresholds_.Exceeds(output, proposer_trace.value(output),
+                          challenger_trace.value(output))) {
+    result = PlanDispute(model_, commitment_, thresholds_, options_, inputs,
+                         challenger_device, proposer_trace);
+  }
+  ApplyDispute(coordinator_, c0, options_, shard, result);
+  return result;
 }
 
-DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
-                                         const DeviceProfile& challenger_device,
-                                         const ExecutionTrace& proposer_trace,
-                                         const Tensor& challenger_output,
-                                         const Digest& c0,
-                                         std::optional<bool> precomputed_flagged) {
-  const Graph& graph = *model_.graph;
+DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
+                          const ThresholdSet& thresholds, const DisputeOptions& options,
+                          const std::vector<Tensor>& inputs,
+                          const DeviceProfile& challenger_device,
+                          const ExecutionTrace& proposer_trace) {
+  const Graph& graph = *model.graph;
   DisputeResult result;
-  ThreadPool* pool = options_.num_threads > 1 ? &ThreadPool::Shared() : nullptr;
-
-  const ClaimId claim =
-      coordinator_.SubmitCommitment(c0, options_.challenge_window, options_.proposer_bond,
-                                    options_.coordinator_shard);
-  result.claim_id = claim;
-
-  const NodeId output = graph.output();
-  const bool flagged =
-      precomputed_flagged.has_value()
-          ? *precomputed_flagged
-          : thresholds_.Exceeds(output, proposer_trace.value(output), challenger_output);
-  if (!flagged) {
-    // Happy path: result finalizes after the window. Per-claim advance: only this
-    // claim's shard clock moves, so concurrent flows on other shards are untouched.
-    coordinator_.AdvanceTimeFor(claim, options_.challenge_window);
-    result.final_state = coordinator_.TryFinalize(claim);
-    result.challenge_raised = false;
-    result.gas_used = coordinator_.claim_gas(claim);
-    return result;
-  }
+  ThreadPool* pool = options.num_threads > 1 ? &ThreadPool::Shared() : nullptr;
 
   // ---- Phase 2: dispute localization -------------------------------------------------
   result.challenge_raised = true;
-  coordinator_.OpenChallenge(claim, options_.challenger_bond);
 
   // Values both parties agree on; seeded with the request inputs, extended each round
   // with the live-outs of accepted (earlier) children and the live-ins of the selected
@@ -114,7 +102,8 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
   Slice slice{0, graph.num_ops()};
   bool no_offender_found = false;
   // Tracing: one span per dispute round (detail = round index), tagged with the
-  // claim context the resolve lane published (absent for standalone drivers).
+  // claim context the caller published (absent for standalone drivers). The claim
+  // id is not known yet; the chain takes it from the claim's resolve span.
   const auto record_round_span = [&](int64_t round_index, int64_t begin_ns) {
     if (!Tracer::enabled()) {
       return;
@@ -125,7 +114,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
       span.sequence = context->sequence;
       span.shard = context->shard;
     }
-    span.claim_id = claim;
     span.kind = SpanKind::kDisputeRound;
     span.detail = round_index;
     span.begin_ns = begin_ns;
@@ -140,12 +128,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
   // need fresh re-execution.
   std::map<NodeId, Tensor> challenger_cache;
   bool first_child_cached = false;
-  // Online ceiling learning (adaptive_slice_learning): per-game EWMA of observed
-  // speculative waste; the effective ceiling tracks it from the first speculated
-  // round on (until then it equals the static limit).
-  double waste_ewma = 0.0;
-  bool waste_seeded = false;
-  int64_t effective_slice_limit = options_.speculative_slice_limit;
   while (slice.size() > 1) {
     RoundStats round;
     round.round = result.rounds;
@@ -154,10 +136,9 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
 
     // -- Proposer: canonical partition + commitments + proofs ------------------------
     Stopwatch partition_watch;
-    const std::vector<Slice> children = PartitionSlice(slice, options_.partition_n);
+    const std::vector<Slice> children = PartitionSlice(slice, options.partition_n);
     std::vector<ChildRecord> records;
     records.reserve(children.size());
-    std::vector<Digest> child_hashes;
     for (const Slice& child : children) {
       ChildRecord record;
       record.slice = child;
@@ -171,38 +152,37 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
       record.h_in = ComputeInterfaceHash(record.live_in_values);
       record.h_out = ComputeInterfaceHash(record.live_out_values);
       for (const NodeId param : record.frontier.params) {
-        record.weight_proofs.push_back(commitment_.ProveWeight(param));
+        record.weight_proofs.push_back(commitment.ProveWeight(param));
         record.weight_proof_nodes.push_back(param);
       }
       const std::vector<NodeId>& ops = graph.op_nodes();
       for (int64_t i = child.begin; i < child.end; ++i) {
         record.signature_proofs.push_back(
-            commitment_.ProveSignature(ops[static_cast<size_t>(i)]));
+            commitment.ProveSignature(ops[static_cast<size_t>(i)]));
         record.signature_proof_nodes.push_back(ops[static_cast<size_t>(i)]);
       }
-      child_hashes.push_back(HashPair(record.h_in, record.h_out));
+      round.child_hashes.push_back(HashPair(record.h_in, record.h_out));
       records.push_back(std::move(record));
     }
     round.proposer_partition_ms = partition_watch.ElapsedMillis();
     round.children = static_cast<int64_t>(records.size());
-    coordinator_.RecordPartition(claim, round.children, child_hashes);
 
     // -- Challenger: verify proofs, re-execute children in order, select offender ----
     // Merkle inclusion checks are independent read-only hash verifications: fan them
     // out per child. The metered count is the (deterministic) proof total.
     Stopwatch selection_watch;
-    const ParallelFor verify_parallel(pool, options_.num_threads);
+    const ParallelFor verify_parallel(pool, options.num_threads);
     verify_parallel(static_cast<int64_t>(records.size()), [&](int64_t begin, int64_t end) {
       for (int64_t j = begin; j < end; ++j) {
         const ChildRecord& record = records[static_cast<size_t>(j)];
         for (size_t i = 0; i < record.weight_proofs.size(); ++i) {
-          TAO_CHECK(commitment_.VerifyWeight(graph, record.weight_proof_nodes[i],
-                                             record.weight_proofs[i]))
+          TAO_CHECK(commitment.VerifyWeight(graph, record.weight_proof_nodes[i],
+                                            record.weight_proofs[i]))
               << "weight proof failed";
         }
         for (size_t i = 0; i < record.signature_proofs.size(); ++i) {
-          TAO_CHECK(commitment_.VerifySignature(graph, record.signature_proof_nodes[i],
-                                                record.signature_proofs[i]))
+          TAO_CHECK(commitment.VerifySignature(graph, record.signature_proof_nodes[i],
+                                               record.signature_proofs[i]))
               << "signature proof failed";
         }
       }
@@ -214,7 +194,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     }
     round.merkle_proofs = proofs_checked;
     result.total_merkle_checks += proofs_checked;
-    coordinator_.RecordMerkleCheck(claim, proofs_checked);
 
     // Boundary for a child: agreed values extended by earlier children's accepted
     // live-outs. Every extension is a proposer-posted value, so the boundary is
@@ -251,13 +230,10 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     // partition is wide AND this round's slice is small enough that wasted
     // speculative children are cheap (see the DisputeOptions comment; the fig. 8
     // bench reports the DCR/latency tradeoff of the three policies).
-    const int64_t slice_limit_this_round = options_.adaptive_slice_learning
-                                               ? effective_slice_limit
-                                               : options_.speculative_slice_limit;
     const bool speculate_this_round =
-        options_.speculative_reexecution ||
-        (options_.adaptive_speculation && options_.partition_n > 2 &&
-         slice.size() <= slice_limit_this_round);
+        options.speculative_reexecution ||
+        (options.adaptive_speculation && options.partition_n > 2 &&
+         slice.size() <= options.speculative_slice_limit);
     std::vector<std::map<NodeId, Tensor>> prefetched(records.size());
     std::vector<char> has_prefetch(records.size(), 0);
     if (speculate_this_round && pool != nullptr && records.size() > 1) {
@@ -269,7 +245,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
         has_prefetch[j] = 1;
         boundaries[j] = child_boundary(records[j]);
       }
-      const ParallelFor children_parallel(pool, options_.num_threads);
+      const ParallelFor children_parallel(pool, options.num_threads);
       children_parallel(static_cast<int64_t>(records.size()),
                         [&](int64_t begin, int64_t end) {
                           for (int64_t j = begin; j < end; ++j) {
@@ -278,7 +254,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
                                   graph, challenger_device,
                                   records[static_cast<size_t>(j)].slice,
                                   boundaries[static_cast<size_t>(j)],
-                                  options_.num_threads);
+                                  options.num_threads);
                             }
                           }
                         });
@@ -311,7 +287,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
       }
       if (reexec.empty()) {
         reexec = ExecuteSlice(graph, challenger_device, record.slice,
-                              child_boundary(record), options_.num_threads);
+                              child_boundary(record), options.num_threads);
         round.children_reexecuted += 1;
         round.reexec_flops += SliceFlops(graph, record.slice);
       }
@@ -319,7 +295,7 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
       bool offending = false;
       for (size_t o = 0; o < record.frontier.live_out.size(); ++o) {
         const NodeId out = record.frontier.live_out[o];
-        if (thresholds_.Exceeds(out, record.live_out_values[o], reexec.at(out))) {
+        if (thresholds.Exceeds(out, record.live_out_values[o], reexec.at(out))) {
           offending = true;
           break;
         }
@@ -343,37 +319,6 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     round.challenger_selection_ms = selection_watch.ElapsedMillis();
     result.challenger_flops += round.reexec_flops;
 
-    // Waste observation for the learned ceiling: of the children this round
-    // actually prefetched, how many sat past the offender (a lazy challenger
-    // would never have touched them)? With no offender every child was needed
-    // regardless of policy, so the round's waste is 0.
-    if (options_.adaptive_slice_learning && speculate_this_round) {
-      int64_t prefetched_children = 0;
-      int64_t wasted_children = 0;
-      for (size_t j = 0; j < has_prefetch.size(); ++j) {
-        if (!has_prefetch[j]) {
-          continue;
-        }
-        ++prefetched_children;
-        if (selected >= 0 && static_cast<int64_t>(j) > selected) {
-          ++wasted_children;
-        }
-      }
-      if (prefetched_children > 0) {
-        const double waste =
-            static_cast<double>(wasted_children) / static_cast<double>(prefetched_children);
-        const double rate = options_.slice_learning_rate;
-        waste_ewma = waste_seeded ? (1.0 - rate) * waste_ewma + rate * waste : waste;
-        waste_seeded = true;
-        const int64_t base = options_.speculative_slice_limit;
-        const double scaled = static_cast<double>(base) * 2.0 * (1.0 - waste_ewma);
-        int64_t next = static_cast<int64_t>(scaled);
-        if (next < 1) next = 1;
-        if (next > 4 * base) next = 4 * base;
-        effective_slice_limit = next;
-      }
-    }
-
     if (selected < 0) {
       // No child exceeded its thresholds: the challenge does not hold up.
       no_offender_found = true;
@@ -382,26 +327,12 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
       break;
     }
     round.selected_child = selected;
-    coordinator_.RecordSelection(claim, selected);
-    if (options_.advance_clock_per_round) {
-      coordinator_.AdvanceTimeFor(claim, 1);
-    }
     slice = children[static_cast<size_t>(selected)];
     result.rounds += 1;
     record_round_span(round.round, round_begin_ns);
     result.round_stats.push_back(round);
   }
-  if (options_.adaptive_slice_learning && waste_seeded) {
-    result.speculative_waste_ewma = waste_ewma;
-    result.learned_slice_limit = effective_slice_limit;
-  }
-
   if (no_offender_found) {
-    coordinator_.RecordLeafAdjudication(claim, /*proposer_guilty=*/false,
-                                        options_.challenger_share);
-    result.proposer_guilty = false;
-    result.final_state = coordinator_.claim(claim).state;
-    result.gas_used = coordinator_.claim_gas(claim);
     result.cost_ratio = static_cast<double>(result.challenger_flops) /
                         static_cast<double>(graph.TotalFlops());
     return result;
@@ -424,17 +355,41 @@ DisputeResult DisputeGame::RunFromPhase1(const std::vector<Tensor>& inputs,
     leaf_inputs.push_back(it->second);
   }
   result.leaf =
-      AdjudicateLeaf(graph, leaf, leaf_inputs, proposer_trace.value(leaf), thresholds_,
-                     options_.adjudication);
+      AdjudicateLeaf(graph, leaf, leaf_inputs, proposer_trace.value(leaf), thresholds,
+                     options.adjudication);
   result.challenger_flops += graph.NodeFlops(leaf);
   result.proposer_guilty = result.leaf.proposer_guilty;
-  coordinator_.RecordLeafAdjudication(claim, result.proposer_guilty,
-                                      options_.challenger_share);
-  result.final_state = coordinator_.claim(claim).state;
-  result.gas_used = coordinator_.claim_gas(claim);
   result.cost_ratio = static_cast<double>(result.challenger_flops) /
                       static_cast<double>(graph.TotalFlops());
   return result;
+}
+
+void ApplyDispute(Coordinator& coordinator, const Digest& c0,
+                  const DisputeOptions& options, uint64_t shard, DisputeResult& result) {
+  const ClaimId claim = coordinator.SubmitCommitment(c0, options.challenge_window,
+                                                     options.proposer_bond, shard);
+  result.claim_id = claim;
+  if (!result.challenge_raised) {
+    // Happy path: the result finalizes after the window. Per-claim advance: only this
+    // claim's shard clock moves, so flows on other shards are untouched.
+    coordinator.AdvanceTimeFor(claim, options.challenge_window);
+    TAO_CHECK(coordinator.TryFinalize(claim) == ClaimState::kFinalized);
+  } else {
+    coordinator.OpenChallenge(claim, options.challenger_bond);
+    for (const RoundStats& round : result.round_stats) {
+      coordinator.RecordPartition(claim, round.children, round.child_hashes);
+      coordinator.RecordMerkleCheck(claim, round.merkle_proofs);
+      if (round.selected_child >= 0) {
+        coordinator.RecordSelection(claim, round.selected_child);
+        coordinator.AdvanceTimeFor(claim, 1);
+      }
+    }
+    coordinator.RecordLeafAdjudication(claim, result.proposer_guilty,
+                                       options.challenger_share);
+  }
+  const ClaimRecord record = coordinator.claim(claim);
+  result.final_state = record.state;
+  result.gas_used = record.gas;
 }
 
 }  // namespace tao

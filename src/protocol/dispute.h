@@ -1,23 +1,28 @@
 // The end-to-end TAO protocol driver: optimistic execution (Phase 1), Merkle-anchored
 // threshold-guided dispute localization (Phase 2), and single-operator adjudication
-// (Phase 3), orchestrated against the Coordinator.
+// (Phase 3).
 //
-// The driver embodies both parties:
-//   * the proposer executes the model on its device — optionally injecting the
-//     adversarial perturbations of Sec. 4 — commits C0, and answers dispute rounds by
-//     posting canonical partitions with interface commitments and Merkle proofs;
-//   * the challenger re-executes, triggers a dispute when the output violates the
-//     committed empirical thresholds, verifies the per-round proofs, re-executes
-//     children from agreed boundaries, and selects the first offending child (Eq. 15)
-//     until a single operator remains.
-// It also gathers every statistic the paper's evaluation reports: rounds, Merkle proof
-// checks, per-round substep wall-clock, challenger FLOPs (DCR), cost ratio, and gas.
+// Phases 2-3 are split the way the paper splits the parties from the contract:
+//   * PlanDispute plays both parties off-chain. The proposer answers each round by
+//     posting a canonical partition with interface commitments and Merkle proofs; the
+//     challenger verifies the proofs, re-executes children from agreed boundaries, and
+//     selects the first offending child (Eq. 15) until a single operator remains, which
+//     it adjudicates. Every move is a deterministic function of the proposer's posted
+//     values, the committed thresholds and the Merkle commitment, so the plan touches
+//     no Coordinator and may run on any thread.
+//   * ApplyDispute is the contract's side: it posts one claim's moves to the
+//     Coordinator in protocol order. It is the only place a claim's coordinator
+//     actions are sequenced.
+// DisputeGame::Run composes the whole lifecycle: phase 1 (the proposer executes on
+// its device, optionally injecting the adversarial perturbations of Sec. 4, and
+// commits C0; the challenger re-executes), the output threshold check against the
+// committed empirical thresholds, the plan and the apply. The result carries every
+// statistic the paper's evaluation reports: rounds, Merkle proof checks, per-round
+// substep wall-clock, challenger FLOPs (DCR), cost ratio, and gas.
 
 #ifndef TAO_SRC_PROTOCOL_DISPUTE_H_
 #define TAO_SRC_PROTOCOL_DISPUTE_H_
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "src/graph/executor.h"
@@ -62,31 +67,6 @@ struct DisputeOptions {
   bool adaptive_speculation = false;
   // Slice-size ceiling (in ops) below which adaptive speculation engages.
   int64_t speculative_slice_limit = 64;
-  // Learn the adaptive-speculation ceiling online instead of trusting the static
-  // default: every speculated round observes its waste fraction — prefetched
-  // children PAST the selected offender over all prefetched children (0 when no
-  // offender was found, since every child then had to be checked anyway) — and
-  // folds it into an EWMA w. Later rounds use an effective ceiling of
-  // speculative_slice_limit * 2 * (1 - w), clamped to [1, 4 * limit]: low observed
-  // waste widens the window (fan out on bigger slices), high waste shrinks it.
-  // Verdicts, rounds, and selections never move — the estimate only changes WHICH
-  // rounds fan out, i.e. DCR accounting and wall-clock, exactly like the static
-  // knob. Off by default; meaningful only with adaptive_speculation.
-  bool adaptive_slice_learning = false;
-  // EWMA smoothing weight for the waste observations above (0 < rate <= 1; the
-  // first observation seeds the estimate directly).
-  double slice_learning_rate = 0.25;
-  // Advance the coordinator's logical clock by one tick per dispute round. The
-  // BatchVerifier's concurrent-dispute mode turns this off so games sharing the
-  // coordinator SHARD cannot push each other past round deadlines; the clock is
-  // protocol bookkeeping only, so verdicts, rounds, and gas are unchanged. (Games on
-  // distinct shards are already clock-isolated: every time advance the game performs
-  // is per-claim, so it only moves the owning shard's clock.)
-  bool advance_clock_per_round = true;
-  // Coordinator shard the claim is homed to at submission (taken mod num_shards; all
-  // later actions route by the assigned id). The service's per-shard resolve lanes
-  // pass their lane index; standalone drivers leave it 0.
-  uint64_t coordinator_shard = 0;
 };
 
 struct RoundStats {
@@ -94,6 +74,9 @@ struct RoundStats {
   int64_t slice_size = 0;
   int64_t children = 0;
   int64_t selected_child = -1;
+  // The proposer's posted interface commitment of each child (what RecordPartition
+  // takes).
+  std::vector<Digest> child_hashes;
   int64_t merkle_proofs = 0;
   int64_t children_reexecuted = 0;
   int64_t reexec_flops = 0;
@@ -114,13 +97,27 @@ struct DisputeResult {
   int64_t challenger_flops = 0;
   double cost_ratio = 0.0;  // DCR / one model forward
   int64_t gas_used = 0;     // gas attributable to this claim's lifecycle
-  // Adaptive slice learning (DisputeOptions::adaptive_slice_learning): the waste
-  // EWMA after the game's last observation, and the effective ceiling it implies
-  // for a hypothetical next round. Zeros when learning is off or never observed.
-  double speculative_waste_ewma = 0.0;
-  int64_t learned_slice_limit = 0;
   std::vector<RoundStats> round_stats;
 };
+
+// Phases 2-3 of one claim the output threshold check flagged, computed without the
+// coordinator. `proposer_trace` is the proposer's FULL trace (interior values are
+// what the partitions post). Fills everything but claim_id, final_state and gas_used,
+// which ApplyDispute adds; challenge_raised is true. Its kDisputeRound spans (one per
+// round) carry the claim context the calling thread published, if any.
+DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
+                          const ThresholdSet& thresholds, const DisputeOptions& options,
+                          const std::vector<Tensor>& inputs,
+                          const DeviceProfile& challenger_device,
+                          const ExecutionTrace& proposer_trace);
+
+// Posts one claim's lifecycle to `coordinator`, homing it on `shard` (taken mod
+// num_shards): submit C0; then, when `result` raised no challenge, advance the
+// claim's window and finalize; otherwise open the challenge, post each planned round
+// (partition, Merkle check, and selection plus a one-tick advance when a child was
+// selected) and adjudicate. Fills result.claim_id, final_state and gas_used.
+void ApplyDispute(Coordinator& coordinator, const Digest& c0,
+                  const DisputeOptions& options, uint64_t shard, DisputeResult& result);
 
 class DisputeGame {
  public:
@@ -128,30 +125,14 @@ class DisputeGame {
               const ThresholdSet& thresholds, Coordinator& coordinator,
               DisputeOptions options = {});
 
-  // Runs the full lifecycle for one request. `perturbations` is the malicious
-  // proposer's injection set (empty = honest). The proposer runs on
+  // Runs the full lifecycle for one request: phase 1, the output threshold check,
+  // PlanDispute when it flags, and ApplyDispute on `shard`. `perturbations` is the
+  // malicious proposer's injection set (empty = honest). The proposer runs on
   // `proposer_device`, the challenger on `challenger_device`.
   DisputeResult Run(const std::vector<Tensor>& inputs, const DeviceProfile& proposer_device,
                     const DeviceProfile& challenger_device,
-                    const std::vector<Executor::Perturbation>& perturbations = {});
-
-  // Everything after phase 1: commitment submission, the output threshold check, and
-  // — when the check flags the claim — the full dispute pipeline. `proposer_trace`
-  // and `challenger_output` are the phase-1 execution results, computed either by
-  // Run() above or externally (the BatchVerifier runs K claims' phase-1 executions as
-  // the lanes of one batched run and feeds each result here); `c0` is the proposer's
-  // result commitment over that trace's output. Outcomes are identical to Run() because the
-  // runtime is bitwise deterministic, so where phase 1 executed cannot matter.
-  // `precomputed_flagged`, when set, is the caller's already-evaluated output
-  // threshold verdict (the check is deterministic, so passing it skips a duplicate
-  // evaluation); when unset, the check runs here. With `precomputed_flagged ==
-  // false` the happy path reads nothing from `proposer_trace`, so callers may pass
-  // an empty trace — the BatchVerifier drops unflagged lane traces on this basis.
-  DisputeResult RunFromPhase1(const std::vector<Tensor>& inputs,
-                              const DeviceProfile& challenger_device,
-                              const ExecutionTrace& proposer_trace,
-                              const Tensor& challenger_output, const Digest& c0,
-                              std::optional<bool> precomputed_flagged = std::nullopt);
+                    const std::vector<Executor::Perturbation>& perturbations = {},
+                    uint64_t shard = 0);
 
  private:
   const Model& model_;

@@ -149,7 +149,8 @@ void VerificationService::WorkerLoop(size_t worker) {
 
     // Tracing: per-claim queue-wait and batch-formation spans, plus the cohort's
     // contexts published around phase 1 so the batch verifier can tag its
-    // threshold-check spans without any API change. Observation only.
+    // threshold-check and dispute-round spans without any API change. Observation
+    // only.
     const bool tracing = Tracer::enabled();
     std::vector<TraceContext> contexts;
     if (tracing) {
@@ -288,12 +289,11 @@ void VerificationService::LaneLoop(size_t lane) {
     }
 
     // Tracing: the wait between the worker's handoff and this pickup, then the
-    // resolve itself, with the claim context published so the dispute game can
-    // record its per-round spans. Observation only.
+    // resolve itself. Observation only.
     const bool tracing = Tracer::enabled();
     const int64_t resolve_begin = tracing ? Tracer::NowNs() : 0;
-    TraceContext context{coordinator_.model_id(), item.record.sequence,
-                         static_cast<uint32_t>(lane), kNoIndex};
+    const TraceContext context{coordinator_.model_id(), item.record.sequence,
+                               static_cast<uint32_t>(lane), kNoIndex};
     if (tracing && item.handoff_ns > 0) {
       SpanRecord span;
       span.model = context.model;
@@ -306,14 +306,9 @@ void VerificationService::LaneLoop(size_t lane) {
     }
 
     // All coordinator interaction for this claim happens here, on shard `lane`,
-    // claim by claim in the lane's submission order. Flagged claims run their full
-    // dispute game on this thread while the verify workers keep executing later
-    // cohorts and OTHER lanes keep resolving their own shards' claims.
-    BatchClaimOutcome outcome;
-    {
-      ScopedTraceContext scope(&context, 1);
-      outcome = verifier_.ResolveClaim(item.record.claim, item.phase1, lane);
-    }
+    // claim by claim in the lane's submission order. A flagged claim's dispute was
+    // planned in phase 1; the lane only posts its moves.
+    BatchClaimOutcome outcome = verifier_.ResolveClaim(std::move(item.phase1), lane);
     TAO_CHECK(item.record.ticket != nullptr);
     const int64_t resolve_end = tracing ? Tracer::NowNs() : 0;
     if (tracing) {

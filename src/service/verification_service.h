@@ -15,16 +15,16 @@
 //                                                    ...     lane S-1 ──▶ unordered)
 //
 //   * Verify workers run only coordinator-free work: the batched phase-1 run, the
-//     threshold checks, and the lazy full re-execution of flagged claims. Any
-//     number of workers can execute cohorts concurrently.
-//   * There is ONE resolve/dispute lane per coordinator shard (the service derives
-//     the lane count from Coordinator::num_shards()). A submission with global
-//     sequence s belongs to lane s % S; lane k performs every coordinator
-//     interaction for its claims — flagged claims escalate to their full dispute
-//     game on the lane thread — in ITS claims' submission order, against
-//     coordinator shard k. Shards are fully isolated (own lock, clock, gas,
-//     ledger), so lanes never contend and a slow dispute on one lane never stalls
-//     another lane's resolutions. Per-shard in-order resolution is what makes each
+//     threshold checks, and each flagged claim's full re-execution and dispute plan
+//     (one pool task per flagged claim). Any number of workers can execute cohorts
+//     concurrently.
+//   * There is ONE resolve lane per coordinator shard (the service derives the lane
+//     count from Coordinator::num_shards()). A submission with global sequence s
+//     belongs to lane s % S; lane k posts every coordinator action for its claims —
+//     for a flagged claim, the moves of its planned dispute — in ITS claims'
+//     submission order, against coordinator shard k. Shards are fully isolated (own
+//     lock, clock, gas, ledger), so lanes never contend, and a lane spends
+//     O(rounds) coordinator calls on a dispute, not the dispute's work. Per-shard in-order resolution is what makes each
 //     shard's verdicts, per-claim gas, C0 digests, claim ids, and ledger a bitwise
 //     function of that shard's submission subsequence alone, for ANY worker count
 //     and ANY batch sizing. With one shard this is exactly the historical global
@@ -65,7 +65,7 @@ struct ServiceOptions {
   // lanes as tasks on the shared runtime pool, up to `verifier.dispute.num_threads`
   // at once, so a cohort of one claim runs on one core (its operators fork only at
   // kMinForkFlops). More workers run more cohorts at once and overlap cohort
-  // setup/teardown and lazy re-executions.
+  // setup/teardown and dispute plans.
   int num_workers = 1;
   // Pin the shared runtime pool's workers to cores at service startup (round-robin
   // over hardware_concurrency; TAO_DISABLE_PINNING overrides; no-op on 1-core

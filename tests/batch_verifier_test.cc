@@ -71,8 +71,7 @@ struct ReferenceOutcome {
   bool proposer_guilty = false;
   ClaimState final_state = ClaimState::kCommitted;
   int64_t gas_used = 0;
-  int64_t rounds = 0;
-  int64_t merkle_checks = 0;
+  DisputeResult dispute;  // DisputeGame::Run's result (supervised claims)
 };
 
 std::vector<ReferenceOutcome> RunSequentialReference(const Model& model,
@@ -96,8 +95,7 @@ std::vector<ReferenceOutcome> RunSequentialReference(const Model& model,
       ref.proposer_guilty = result.proposer_guilty;
       ref.final_state = result.final_state;
       ref.gas_used = result.gas_used;
-      ref.rounds = result.rounds;
-      ref.merkle_checks = result.total_merkle_checks;
+      ref.dispute = result;
     } else {
       const Executor exec(graph, *claim.proposer_device);
       const ExecutionTrace trace = exec.RunPerturbed(claim.inputs, claim.perturbations);
@@ -119,22 +117,17 @@ std::vector<ReferenceOutcome> RunSequentialReference(const Model& model,
   return outcomes;
 }
 
-// `check_claim_id` applies only to claim-ordered resolution; the concurrent mode
-// does not guarantee id assignment order.
 void ExpectOutcomeMatchesReference(const BatchClaimOutcome& got, const ReferenceOutcome& ref,
-                                   size_t i, const std::string& label,
-                                   bool check_claim_id = true) {
-  if (check_claim_id) {
-    EXPECT_EQ(got.claim_id, ref.claim_id) << label << ": claim " << i;
-  }
+                                   size_t i, const std::string& label) {
+  EXPECT_EQ(got.claim_id, ref.claim_id) << label << ": claim " << i;
   EXPECT_EQ(got.c0, ref.c0) << label << ": claim " << i << " C0 digest diverged";
   EXPECT_EQ(got.flagged, ref.flagged) << label << ": claim " << i;
   EXPECT_EQ(got.proposer_guilty, ref.proposer_guilty) << label << ": claim " << i;
   EXPECT_EQ(got.final_state, ref.final_state) << label << ": claim " << i;
   EXPECT_EQ(got.gas_used, ref.gas_used) << label << ": claim " << i;
   if (got.supervised) {
-    EXPECT_EQ(got.dispute.rounds, ref.rounds) << label << ": claim " << i;
-    EXPECT_EQ(got.dispute.total_merkle_checks, ref.merkle_checks)
+    EXPECT_EQ(got.dispute.rounds, ref.dispute.rounds) << label << ": claim " << i;
+    EXPECT_EQ(got.dispute.total_merkle_checks, ref.dispute.total_merkle_checks)
         << label << ": claim " << i;
   }
 }
@@ -283,32 +276,63 @@ TEST_F(BatchVerifierFixture, BatchSizeDoesNotChangeOutcomes) {
   }
 }
 
-TEST_F(BatchVerifierFixture, ConcurrentDisputesMatchVerdictsGasAndDigests) {
-  const std::vector<BatchClaim> claims = MakeClaims(*model_, 8, 0x5eedb3);
+// Flagged claims plan their dispute games in phase 1, one pool task per claim, and
+// resolution only posts the plan. Every statistic of the plan — per round included —
+// must equal what DisputeGame::Run computes for the same claim, at any width.
+TEST_F(BatchVerifierFixture, PlannedDisputesMatchDisputeGameFieldByField) {
+  // Every claim supervised and 3/4 cheating, like perfbench's dispute workload.
+  const std::vector<BatchClaim> claims =
+      MakeTestClaims(*model_, 8, 0x5eedb3, /*cheat_rate=*/0.75, /*supervised_rate=*/1.0);
 
   Coordinator reference_coordinator;
   const std::vector<ReferenceOutcome> reference = RunSequentialReference(
       *model_, *commitment_, *thresholds_, claims, reference_coordinator, DisputeOptions{});
-
-  Coordinator coordinator;
-  BatchVerifierOptions options;
-  options.dispute.num_threads = 8;
-  options.reuse_buffers = true;
-  options.concurrent_disputes = true;
-  BatchVerifier verifier(*model_, *commitment_, *thresholds_, coordinator, options);
-  const std::vector<BatchClaimOutcome> outcomes = verifier.VerifyBatch(claims);
-  ASSERT_EQ(outcomes.size(), reference.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    // Concurrent fan-out reorders ledger writes but cannot change any per-claim
-    // outcome: execution is bitwise deterministic and gas is metered per claim.
-    ExpectOutcomeMatchesReference(outcomes[i], reference[i], i, "concurrent",
-                                  /*check_claim_id=*/false);
+  int64_t flagged = 0;
+  for (const ReferenceOutcome& ref : reference) {
+    flagged += ref.flagged ? 1 : 0;
   }
-  // The ledger still conserves value: escrow accounting closes regardless of the
-  // interleaving (slashes split between challenger reward and burned treasury).
-  const Balances balances = coordinator.balances();
-  EXPECT_NEAR(balances.proposer + balances.challenger + balances.treasury, 0.0, 1e-9);
-  EXPECT_EQ(coordinator.gas().total(), reference_coordinator.gas().total());
+  ASSERT_GE(flagged, 3);
+
+  for (const int threads : {1, 8}) {
+    Coordinator coordinator;
+    BatchVerifierOptions options;
+    options.dispute.num_threads = threads;
+    options.reuse_buffers = true;
+    BatchVerifier verifier(*model_, *commitment_, *thresholds_, coordinator, options);
+    const std::vector<BatchClaimOutcome> outcomes = verifier.VerifyBatch(claims);
+    ASSERT_EQ(outcomes.size(), reference.size());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      if (!reference[i].flagged) {
+        continue;
+      }
+      const std::string label =
+          "threads=" + std::to_string(threads) + ": claim " + std::to_string(i);
+      const DisputeResult& got = outcomes[i].dispute;
+      const DisputeResult& want = reference[i].dispute;
+      EXPECT_TRUE(got.challenge_raised) << label;
+      EXPECT_EQ(got.rounds, want.rounds) << label;
+      EXPECT_EQ(got.leaf_op, want.leaf_op) << label;
+      EXPECT_EQ(got.leaf.proposer_guilty, want.leaf.proposer_guilty) << label;
+      EXPECT_EQ(got.leaf.path, want.leaf.path) << label;
+      EXPECT_EQ(got.leaf.max_theo_ratio, want.leaf.max_theo_ratio) << label;
+      EXPECT_EQ(got.leaf.guilty_votes, want.leaf.guilty_votes) << label;
+      EXPECT_EQ(got.leaf.committee_size, want.leaf.committee_size) << label;
+      EXPECT_EQ(got.challenger_flops, want.challenger_flops) << label;
+      EXPECT_EQ(got.cost_ratio, want.cost_ratio) << label;
+      ASSERT_EQ(got.round_stats.size(), want.round_stats.size()) << label;
+      for (size_t r = 0; r < got.round_stats.size(); ++r) {
+        const RoundStats& a = got.round_stats[r];
+        const RoundStats& b = want.round_stats[r];
+        const std::string round_label = label + " round " + std::to_string(r);
+        EXPECT_EQ(a.children, b.children) << round_label;
+        EXPECT_EQ(a.selected_child, b.selected_child) << round_label;
+        EXPECT_EQ(a.merkle_proofs, b.merkle_proofs) << round_label;
+        EXPECT_EQ(a.child_hashes, b.child_hashes) << round_label;
+        EXPECT_EQ(a.children_reexecuted, b.children_reexecuted) << round_label;
+        EXPECT_EQ(a.reexec_flops, b.reexec_flops) << round_label;
+      }
+    }
+  }
 }
 
 // Supervised proposer lanes are output-only: the batch's arena working set must stay

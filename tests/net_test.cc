@@ -134,12 +134,11 @@ std::vector<ReferenceOutcome> RunSequentialReference(const CommittedModel& commi
     const uint64_t shard = i % shards;
     ReferenceOutcome ref;
     if (claim.supervised()) {
-      DisputeOptions options;
-      options.coordinator_shard = shard;
       DisputeGame game(committed.model, *committed.commitment, *committed.thresholds,
-                       coordinator, options);
+                       coordinator);
       const DisputeResult result = game.Run(claim.inputs, *claim.proposer_device,
-                                            *claim.verifier_device, claim.perturbations);
+                                            *claim.verifier_device, claim.perturbations,
+                                            shard);
       ref.claim_id = result.claim_id;
       ref.c0 = coordinator.claim(result.claim_id).c0;
       ref.flagged = result.challenge_raised;

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -612,6 +613,7 @@ struct SweepOutcome {
   bool proposer_guilty = false;
   ClaimState final_state = ClaimState::kCommitted;
   int64_t gas_used = 0;
+  size_t dispute_rounds = 0;  // the dispute's round_stats.size()
 };
 
 struct SweepResult {
@@ -642,7 +644,8 @@ class ObservabilityIntegrationTest : public ::testing::Test {
     delete model_;
   }
 
-  static SweepResult RunWorkload(const std::vector<BatchClaim>& claims) {
+  static SweepResult RunWorkload(const std::vector<BatchClaim>& claims,
+                                 int dispute_threads = 1) {
     ModelRegistry registry;
     // Pin the shared pool's workers for the whole sweep: placement is part of
     // the outcome-inertness contract this suite holds, so the bitwise
@@ -658,6 +661,7 @@ class ObservabilityIntegrationTest : public ::testing::Test {
     options.queue_capacity = 4;
     options.batching.initial_hint = 3;
     options.verifier.reuse_buffers = true;
+    options.verifier.dispute.num_threads = dispute_threads;
     gateway.Serve(id, options);
 
     std::vector<std::shared_ptr<ClaimTicket>> tickets;
@@ -673,7 +677,7 @@ class ObservabilityIntegrationTest : public ::testing::Test {
       const BatchClaimOutcome& outcome = ticket->Wait();
       result.outcomes.push_back({outcome.claim_id, outcome.c0, outcome.flagged,
                                  outcome.proposer_guilty, outcome.final_state,
-                                 outcome.gas_used});
+                                 outcome.gas_used, outcome.dispute.round_stats.size()});
     }
     result.balances = registry.coordinator(id).balances();
     result.gas_total = registry.coordinator(id).gas().total();
@@ -729,55 +733,69 @@ TEST_F(ObservabilityIntegrationTest, TracedWorkloadYieldsCompleteSpanChains) {
   const std::vector<BatchClaim> claims =
       MakeTestClaims(*model_, 6, 0x7ace, /*cheat_rate=*/0.5, /*supervised_rate=*/0.7);
 
-  Tracer::Get().Enable();
-  FlushTracer();
-  const SweepResult result = RunWorkload(claims);
-  Tracer::Get().Disable();
+  // Width 1 plans every flagged claim on the verify worker itself, width 4 on pool
+  // threads; either way the plan must run under its own claim's context.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("dispute threads " + std::to_string(threads));
+    Tracer::Get().Enable();
+    FlushTracer();
+    const SweepResult result = RunWorkload(claims, threads);
+    Tracer::Get().Disable();
 
-  TraceCollectorOptions options;
-  options.slow_claim_ms = 0.0;  // retain every chain
-  options.max_slow_claims = 64;
-  TraceCollector collector(options);
-  collector.Poll();
+    TraceCollectorOptions options;
+    options.slow_claim_ms = 0.0;  // retain every chain
+    options.max_slow_claims = 64;
+    TraceCollector collector(options);
+    collector.Poll();
 
-  const std::vector<ClaimTrace> traces = collector.Traces();
-  ASSERT_EQ(traces.size(), claims.size());
-  bool saw_threshold_check = false;
-  bool saw_dispute_round = false;
-  for (const ClaimTrace& trace : traces) {
-    EXPECT_TRUE(trace.complete);
-    EXPECT_NE(trace.claim_id, 0u) << "the resolve span must stamp the claim id";
-    EXPECT_TRUE(trace.has(SpanKind::kSubmit));
-    EXPECT_TRUE(trace.has(SpanKind::kQueueWait));
-    EXPECT_TRUE(trace.has(SpanKind::kBatchForm));
-    EXPECT_TRUE(trace.has(SpanKind::kPhase1));
-    EXPECT_TRUE(trace.has(SpanKind::kResolveWait));
-    EXPECT_TRUE(trace.has(SpanKind::kResolve));
-    EXPECT_TRUE(trace.has(SpanKind::kDeliver));
-    EXPECT_GE(trace.end_ns, trace.begin_ns);
-    saw_threshold_check |= trace.has(SpanKind::kThresholdCheck);
-    saw_dispute_round |= trace.has(SpanKind::kDisputeRound);
+    const std::vector<ClaimTrace> traces = collector.Traces();
+    ASSERT_EQ(traces.size(), claims.size());
+    // Each flagged claim's chain carries exactly one span per planned round, every
+    // other chain none.
+    std::map<uint64_t, size_t> rounds_by_claim;
+    for (const SweepOutcome& outcome : result.outcomes) {
+      rounds_by_claim[outcome.claim_id] = outcome.flagged ? outcome.dispute_rounds : 0;
+    }
+    bool saw_threshold_check = false;
+    for (const ClaimTrace& trace : traces) {
+      EXPECT_TRUE(trace.complete);
+      EXPECT_NE(trace.claim_id, 0u) << "the resolve span must stamp the claim id";
+      EXPECT_TRUE(trace.has(SpanKind::kSubmit));
+      EXPECT_TRUE(trace.has(SpanKind::kQueueWait));
+      EXPECT_TRUE(trace.has(SpanKind::kBatchForm));
+      EXPECT_TRUE(trace.has(SpanKind::kPhase1));
+      EXPECT_TRUE(trace.has(SpanKind::kResolveWait));
+      EXPECT_TRUE(trace.has(SpanKind::kResolve));
+      EXPECT_TRUE(trace.has(SpanKind::kDeliver));
+      EXPECT_GE(trace.end_ns, trace.begin_ns);
+      saw_threshold_check |= trace.has(SpanKind::kThresholdCheck);
+      const auto is_round = [](const SpanRecord& span) {
+        return span.kind == SpanKind::kDisputeRound;
+      };
+      const size_t round_spans = static_cast<size_t>(
+          std::count_if(trace.spans.begin(), trace.spans.end(), is_round));
+      EXPECT_EQ(round_spans, rounds_by_claim[trace.claim_id])
+          << "claim " << trace.claim_id << " has the wrong number of dispute-round spans";
+    }
+    EXPECT_TRUE(saw_threshold_check) << "supervised claims must record threshold checks";
+    size_t flagged = 0;
+    for (const SweepOutcome& outcome : result.outcomes) {
+      flagged += outcome.flagged ? 1 : 0;
+    }
+    EXPECT_GT(flagged, 0u) << "the workload must exercise the dispute path";
+    // Claim ids on the chains match the delivered outcomes one-to-one.
+    std::vector<uint64_t> chain_ids;
+    std::vector<uint64_t> outcome_ids;
+    for (const ClaimTrace& trace : traces) {
+      chain_ids.push_back(trace.claim_id);
+    }
+    for (const SweepOutcome& outcome : result.outcomes) {
+      outcome_ids.push_back(outcome.claim_id);
+    }
+    std::sort(chain_ids.begin(), chain_ids.end());
+    std::sort(outcome_ids.begin(), outcome_ids.end());
+    EXPECT_EQ(chain_ids, outcome_ids);
   }
-  EXPECT_TRUE(saw_threshold_check) << "supervised claims must record threshold checks";
-  bool any_flagged = false;
-  for (const SweepOutcome& outcome : result.outcomes) {
-    any_flagged |= outcome.flagged;
-  }
-  if (any_flagged) {
-    EXPECT_TRUE(saw_dispute_round) << "flagged claims must record dispute rounds";
-  }
-  // Claim ids on the chains match the delivered outcomes one-to-one.
-  std::vector<uint64_t> chain_ids;
-  std::vector<uint64_t> outcome_ids;
-  for (const ClaimTrace& trace : traces) {
-    chain_ids.push_back(trace.claim_id);
-  }
-  for (const SweepOutcome& outcome : result.outcomes) {
-    outcome_ids.push_back(outcome.claim_id);
-  }
-  std::sort(chain_ids.begin(), chain_ids.end());
-  std::sort(outcome_ids.begin(), outcome_ids.end());
-  EXPECT_EQ(chain_ids, outcome_ids);
 }
 
 TEST_F(ObservabilityIntegrationTest, GatewayMonitoringServesLiveCountersAndTraces) {

@@ -106,6 +106,21 @@ TEST(CoordinatorTest, ChallengeAfterWindowRejected) {
   EXPECT_DEATH(coordinator.OpenChallenge(id, 1.0), "challenge window closed");
 }
 
+// Merkle checks are metered only inside a dispute, and a proof count is never
+// negative: recovery replays logged counts through this same call.
+TEST(CoordinatorTest, MerkleCheckOutsideDisputeRejected) {
+  Coordinator coordinator;
+  const ClaimId id = coordinator.SubmitCommitment(Sha256::Hash(std::string("m")), 10, 5.0);
+  EXPECT_DEATH(coordinator.RecordMerkleCheck(id, 3), "kDisputed");
+}
+
+TEST(CoordinatorTest, NegativeMerkleCheckRejected) {
+  Coordinator coordinator;
+  const ClaimId id = coordinator.SubmitCommitment(Sha256::Hash(std::string("n")), 10, 5.0);
+  coordinator.OpenChallenge(id, 1.0);
+  EXPECT_DEATH(coordinator.RecordMerkleCheck(id, -1000), "lhs=-1000");
+}
+
 TEST(CoordinatorTest, SlashingMovesBonds) {
   Coordinator coordinator;
   const ClaimId id = coordinator.SubmitCommitment(Sha256::Hash(std::string("y")), 100, 10.0);

@@ -29,10 +29,11 @@ namespace tao {
 // Replays one shard's claim subsequence — coordinator ACTIONS only, reconstructed
 // from the delivered outcomes — against `replay` (conventionally a fresh
 // single-shard coordinator). `options` must be the dispute options the service ran
-// with; the reconstruction mirrors the live call pattern of DisputeGame /
-// BatchVerifier exactly: unflagged claims submit, wait out the window, finalize;
-// flagged claims submit, open, then per round partition + merkle-meter (+ selection
-// and a one-tick advance when the challenger selected), and finally adjudicate.
+// with; the reconstruction is an independent restatement of the call pattern
+// ApplyDispute follows (it must not call ApplyDispute): unflagged claims submit,
+// wait out the window, finalize; flagged claims submit, open, then per round
+// partition + merkle-meter (+ selection and a one-tick advance when the challenger
+// selected), and finally adjudicate.
 inline void ReplayShardActions(const std::vector<const BatchClaimOutcome*>& outcomes,
                                Coordinator& replay,
                                const DisputeOptions& options = {}) {

@@ -389,61 +389,6 @@ TEST(RuntimeDeterminismTest, ParallelDisputeGameMatchesSequentialVerdict) {
   }
 }
 
-TEST(RuntimeDeterminismTest, AdaptiveSliceLearningKeepsVerdictsAndAdapts) {
-  // adaptive_slice_learning replaces the STATIC speculation ceiling with an
-  // EWMA-learned one. Like every speculation knob it may only move scheduling
-  // and DCR accounting: the verdict, localization, round count, Merkle checks,
-  // and gas must match the non-learning adaptive game exactly.
-  const Model model = BuildBertMini();
-  CalibrateOptions calib_options;
-  calib_options.num_samples = 4;
-  const Calibration calibration = Calibrate(model, DeviceRegistry::Fleet(), calib_options);
-  const ThresholdSet thresholds = calibration.MakeThresholds(3.0);
-  const ModelCommitment commitment(*model.graph, thresholds);
-
-  Rng rng(0x7b4);
-  const std::vector<Tensor> input = model.sample_input(rng);
-  const Graph& g = *model.graph;
-  const NodeId target = g.op_nodes()[g.num_ops() / 2];
-  Rng delta_rng(0x7b5);
-  const Tensor delta = Tensor::Randn(g.node(target).shape, delta_rng, 5e-2f);
-  const std::vector<Executor::Perturbation> cheat = {{target, delta}};
-
-  const auto run_game = [&](bool learning) {
-    Coordinator coordinator;
-    DisputeOptions options;
-    options.num_threads = 4;
-    options.partition_n = 4;  // adaptive speculation requires a wide partition
-    options.adaptive_speculation = true;
-    options.adaptive_slice_learning = learning;
-    DisputeGame game(model, commitment, thresholds, coordinator, options);
-    return game.Run(input, DeviceRegistry::ByName("H100"),
-                    DeviceRegistry::ByName("RTX4090"), cheat);
-  };
-
-  const DisputeResult baseline = run_game(false);
-  ASSERT_TRUE(baseline.proposer_guilty);
-  ASSERT_EQ(baseline.leaf_op, target);
-  // Learning is off: the result carries no learned state.
-  EXPECT_EQ(baseline.learned_slice_limit, 0);
-  EXPECT_EQ(baseline.speculative_waste_ewma, 0.0);
-
-  const DisputeResult learned = run_game(true);
-  EXPECT_EQ(learned.proposer_guilty, baseline.proposer_guilty);
-  EXPECT_EQ(learned.leaf_op, baseline.leaf_op);
-  EXPECT_EQ(learned.final_state, baseline.final_state);
-  EXPECT_EQ(learned.rounds, baseline.rounds);
-  EXPECT_EQ(learned.total_merkle_checks, baseline.total_merkle_checks);
-  EXPECT_EQ(learned.gas_used, baseline.gas_used);
-  // The late rounds of any multi-round game have slices under the default
-  // ceiling, so the learner must have observed at least one speculated round.
-  ASSERT_GT(baseline.rounds, 1);
-  EXPECT_GE(learned.learned_slice_limit, 1);
-  EXPECT_LE(learned.learned_slice_limit, 4 * DisputeOptions{}.speculative_slice_limit);
-  EXPECT_GE(learned.speculative_waste_ewma, 0.0);
-  EXPECT_LE(learned.speculative_waste_ewma, 1.0);
-}
-
 TEST(RuntimeDeterminismTest, ConcurrentDecodePairMatchesSequential) {
   const Model model = BuildQwenMini();
   Rng rng(0x7a3);
