@@ -108,17 +108,17 @@ int main() {
               "shrink. Guideline N in [8,12].\n");
 
   // --- Speculation-policy tradeoff (the ROADMAP adaptive-speculation item) ----------
-  // `speculative_reexecution` is off by default because fanning every round's
-  // children out inflates the DCR (wasted work past the offender, worst on the huge
-  // early-round slices). The adaptive policy speculates only when partition_n > 2
-  // and the round's slice is already small, buying back most of the wall-clock win
-  // at a fraction of the DCR cost. Verdicts are identical across policies (checked
+  // Speculation is off (kLazy) by default because fanning every round's children
+  // out inflates the DCR (wasted work past the offender, worst on the huge
+  // early-round slices). kAdaptive speculates only when partition_n > 2 and the
+  // round's slice is already small, buying back most of the wall-clock win at a
+  // fraction of the DCR cost. Verdicts are identical across policies (checked
   // below) — only cost accounting and latency move.
   std::printf("\n=== speculation policy: DCR vs dispute latency ===\n\n");
   TablePrinter spec_table({"N", "policy", "avg dispute time (ms)", "avg cost ratio",
                            "avg reexec flops (M)"});
   for (const int64_t n : {4, 8}) {
-    // One lazy run per site serves as BOTH the policy-0 row and the verdict
+    // One lazy run per site serves as BOTH the kLazy row and the verdict
     // reference the speculative policies are checked against.
     struct LazyRun {
       NodeId site;
@@ -145,7 +145,8 @@ int main() {
     }
 
     bool verdicts_consistent = true;
-    for (const int policy : {0, 1, 2}) {  // 0 = lazy, 1 = adaptive, 2 = always
+    for (const SpeculationPolicy policy :
+         {SpeculationPolicy::kLazy, SpeculationPolicy::kAdaptive, SpeculationPolicy::kAlways}) {
       double total_time_ms = 0.0;
       double total_ratio = 0.0;
       double total_flops = 0.0;
@@ -153,7 +154,7 @@ int main() {
       for (const LazyRun& lazy : lazy_runs) {
         DisputeResult result;
         double elapsed;
-        if (policy == 0) {
+        if (policy == SpeculationPolicy::kLazy) {
           result = lazy.result;
           elapsed = lazy.elapsed_ms;
         } else {
@@ -161,8 +162,7 @@ int main() {
           DisputeOptions options;
           options.partition_n = n;
           options.num_threads = 4;
-          options.speculative_reexecution = policy == 2;
-          options.adaptive_speculation = policy == 1;
+          options.speculation = policy;
           DisputeGame game(model, commitment, thresholds, coordinator, options);
           Stopwatch watch;
           result = game.Run(input, DeviceRegistry::ByName("H100"),
@@ -185,7 +185,9 @@ int main() {
         total_flops += static_cast<double>(result.challenger_flops) / 1e6;
         ++games;
       }
-      const char* name = policy == 0 ? "lazy" : (policy == 1 ? "adaptive" : "always");
+      const char* name = policy == SpeculationPolicy::kLazy       ? "lazy"
+                         : policy == SpeculationPolicy::kAdaptive ? "adaptive"
+                                                                  : "always";
       spec_table.AddRow({std::to_string(n), name,
                          TablePrinter::Fixed(total_time_ms / games, 1),
                          TablePrinter::Fixed(total_ratio / games, 2),
@@ -203,6 +205,6 @@ int main() {
               "children dominate DCR), late narrow rounds fan out (latency win, DCR\n"
               "noise). Expect: cost ratio lazy <= adaptive << always, with adaptive\n"
               "recovering most of always's wall-clock drop on multi-core hosts.\n",
-              static_cast<long long>(DisputeOptions{}.speculative_slice_limit));
+              static_cast<long long>(kSpeculativeSliceLimit));
   return 0;
 }

@@ -1,8 +1,8 @@
 // Operator-level microbenchmarks: per-op GFLOP/s under the scalar backend vs the
 // runtime-dispatched SIMD backend, on the fleet's vector-eligible profile (RTX6000,
-// kStridedVector = the fixed 8-lane reduction tree), plus the dense kernels at the
-// model zoo's shapes on every fleet profile and the reference, and SHA-256 / CRC-32
-// throughput over a 64 KB payload.
+// kStrided with block 8 = the fixed 8-lane reduction tree), plus the dense kernels at
+// the model zoo's shapes on every fleet profile and the reference, and SHA-256 /
+// CRC-32 throughput over a 64 KB payload.
 //
 // The SIMD backend is only admissible because it is bitwise identical to the scalar
 // fixed-tree loops (src/device/simd.h); the last column re-checks that here, on the
@@ -125,8 +125,9 @@ int main(int argc, char** argv) {
                 "scalar backend)\n\n");
   }
 
-  // The fleet's vector-eligible profile; every reduction below runs the fixed
-  // 8-lane tree on both backends.
+  // The fleet's vector-eligible profile: every reduction below runs the fixed 8-lane
+  // tree on both backends, and its dense kernels run the lane kernels like every other
+  // profile's.
   const DeviceProfile& device = DeviceRegistry::ByName("RTX6000");
 
   std::vector<OpCase> cases;
@@ -242,10 +243,6 @@ int main(int argc, char** argv) {
   prim_row("DotStrided (contiguous)", 2 * n,
            [&] { return device.DotStrided(xs.data(), 1, ys.data(), 1,
                                           static_cast<int64_t>(xs.size())); });
-  prim_row("DotStrided (stride 8)", 2 * (n / 8), [&] {
-    return device.DotStrided(xs.data(), 1, ys.data(), 8,
-                             static_cast<int64_t>(xs.size()) / 8);
-  });
   prims.Print();
 
   // --- Transcendental vector math (src/device/vmath.h) -----------------------------
@@ -404,8 +401,8 @@ int main(int argc, char** argv) {
   // --- Dense kernels on every profile ---------------------------------------------
   // The model zoo's dense shapes on each fleet profile and the reference. The scalar
   // column is the per-output DotStrided reference; the dispatched column runs the lane
-  // kernels (one output per lane) on non-eligible profiles and the 8-lane tree on
-  // RTX6000.
+  // kernels (one output per lane) on every profile, except RTX6000's in-place weight
+  // rows (WideMlp's one-row linear), which run the 8-lane tree row by row.
   std::printf("\ndense kernels per profile (scalar reference vs %s dispatch):\n",
               SimdBackendName(fast));
   std::vector<DeviceProfile> profiles = DeviceRegistry::Fleet();

@@ -22,8 +22,8 @@ namespace tao {
 // Thresholds are statements about a *specific* fleet's cross-device error; a file
 // replayed against a different fleet silently under- or over-flags. v2 therefore
 // embeds the canonical fleet signature (see FleetSignature in src/device/device.h)
-// so loaders can detect composition drift and demand recalibration. Pure relabels
-// (kStridedVector vs kStrided block=8) share a signature — no recalibration needed.
+// so loaders can detect composition drift and demand recalibration. Only arithmetic
+// moves it: device_test pins the fleet's exact string.
 // Pass an empty signature to emit the legacy v1 header without a fleet line.
 std::string SerializeThresholds(const ThresholdSet& thresholds,
                                 const std::string& fleet_signature = std::string());

@@ -89,8 +89,6 @@ float DeviceProfile::Accumulate(std::span<const float> xs) const {
       return SumBlocked(xs, block);
     case AccumulationOrder::kStrided:
       return SumStrided(xs, block);
-    case AccumulationOrder::kStridedVector:
-      return SumStrided(xs, 8);  // unreachable: vector_eligible() handled above
   }
   TAO_CHECK(false) << "unreachable";
   return 0.0f;
@@ -143,8 +141,7 @@ float DeviceProfile::DotStrided(const float* a, int64_t stride_a, const float* b
     }
     case AccumulationOrder::kPairwiseTree:
     case AccumulationOrder::kBlocked:
-    case AccumulationOrder::kStrided:
-    case AccumulationOrder::kStridedVector: {
+    case AccumulationOrder::kStrided: {
       std::vector<float> prods(static_cast<size_t>(n));
       if (fma) {
         // Contracted product staging: round-to-nearest of the exact product is what
@@ -259,11 +256,9 @@ const std::vector<DeviceProfile>& DeviceRegistry::Fleet() {
                     .block = 32,
                     .fma = false,
                     .intrinsics = IntrinsicFlavor::kFloatNative},
-      // Relabelled from kStrided(block=8) to kStridedVector: the two orders are
-      // bitwise-identical aliases, so existing calibrations stay valid, and the
-      // explicit name documents that this is the fleet's vector-eligible profile.
+      // kStrided(8) is the fixed 8-lane tree: the fleet's vector-eligible profile.
       DeviceProfile{.name = "RTX6000",
-                    .order = AccumulationOrder::kStridedVector,
+                    .order = AccumulationOrder::kStrided,
                     .block = 8,
                     .fma = true,
                     .intrinsics = IntrinsicFlavor::kFloatNative},
@@ -278,26 +273,18 @@ std::string FleetSignature(std::span<const DeviceProfile> fleet) {
   // be rejected by the v2 loader exactly like a device-composition change.
   std::string sig = vmath::kVmathVersion;
   for (const DeviceProfile& d : fleet) {
-    AccumulationOrder order = d.order;
-    int64_t block = d.block;
-    // kStridedVector is a bitwise alias of kStrided(block=8); encode both the same
-    // way so a pure relabel does not read as a fleet change.
-    if (order == AccumulationOrder::kStridedVector) {
-      order = AccumulationOrder::kStrided;
-      block = 8;
-    }
     // Block only participates in the arithmetic for blocked/strided orders.
-    if (order != AccumulationOrder::kBlocked && order != AccumulationOrder::kStrided) {
-      block = 0;
-    }
-    static const char* kOrderTokens[] = {"seq", "rev", "tree", "blocked", "strided",
-                                         "stridedvec"};
+    const int64_t block =
+        d.order == AccumulationOrder::kBlocked || d.order == AccumulationOrder::kStrided
+            ? d.block
+            : 0;
+    static const char* kOrderTokens[] = {"seq", "rev", "tree", "blocked", "strided"};
     if (!sig.empty()) {
       sig += ';';
     }
     sig += d.name;
     sig += ':';
-    sig += kOrderTokens[static_cast<int>(order)];
+    sig += kOrderTokens[static_cast<int>(d.order)];
     sig += ':';
     sig += std::to_string(block);
     sig += d.fma ? ":fma1:" : ":fma0:";

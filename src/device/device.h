@@ -33,12 +33,6 @@ enum class AccumulationOrder {
   kPairwiseTree,  // recursive pairwise halving (tree reduction)
   kBlocked,       // per-block sequential partials, then sequential across partials
   kStrided,       // S interleaved accumulators (warp-lane style), then combine
-  // Eight interleaved accumulators with a fixed sequential lane combine — numerically
-  // IDENTICAL to kStrided with block=8 in every bit, but named separately because this
-  // is the one order a 8-lane FP32 vector unit reproduces natively: profiles carrying
-  // it are eligible for the SIMD backend (src/device/simd.h) with bitwise-equal
-  // results guaranteed by construction.
-  kStridedVector,
 };
 
 // How a device evaluates transcendental intrinsics (CUDA math functions are allowed
@@ -62,13 +56,12 @@ struct DeviceProfile {
   IntrinsicFlavor intrinsics = IntrinsicFlavor::kFloatNative;
 
   // True when this profile's reduction order is exactly the fixed 8-lane tree a vector
-  // unit executes natively (kStridedVector, or kStrided with block == 8). Only such
-  // profiles may split ONE reduction across vector lanes; splitting any other order
-  // would reassociate it. Their dense kernels vectorize across outputs instead, one
-  // whole reduction per lane (simd::DotLanes).
+  // unit executes natively (kStrided with block == 8). Only such profiles may split ONE
+  // reduction across vector lanes (Accumulate, and DotStrided over a contiguous row);
+  // splitting any other order would reassociate it. The dense kernels of every profile
+  // vectorize across outputs instead, one whole reduction per lane (simd::DotLanes).
   bool vector_eligible() const {
-    return order == AccumulationOrder::kStridedVector ||
-           (order == AccumulationOrder::kStrided && block == 8);
+    return order == AccumulationOrder::kStrided && block == 8;
   }
 
   // --- Reductions -----------------------------------------------------------------
@@ -112,10 +105,8 @@ struct DeviceProfile {
 // specific fleet, so serialized threshold files embed this signature and the loader
 // can detect that the arithmetic changed underneath a published calibration (which
 // requires recalibrating) — whether by fleet composition or by a vmath generation
-// bump. Pure relabels that do not change any bit of arithmetic hash identically:
-// kStridedVector encodes as kStrided(block=8) — they are the same reduction tree —
-// so renaming a profile to mark it vector-eligible does not invalidate existing
-// calibrations.
+// bump. Block is encoded only for the blocked and strided orders, the ones it
+// changes.
 std::string FleetSignature(std::span<const DeviceProfile> fleet);
 
 // The calibration fleet (stand-ins for RTX 4090, RTX 6000, A100, H100) plus the

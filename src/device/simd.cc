@@ -219,38 +219,6 @@ TAO_TARGET_AVX2 float DotContiguousAvx2(const float* a, const float* b, int64_t 
   return total;
 }
 
-TAO_TARGET_AVX2 float DotGatherAvx2(const float* a, int64_t stride_a, const float* b,
-                                    int64_t stride_b, int64_t n) {
-  const int sa = static_cast<int>(stride_a);
-  const int sb = static_cast<int>(stride_b);
-  const __m256i idx_a = _mm256_setr_epi32(0, sa, 2 * sa, 3 * sa, 4 * sa, 5 * sa, 6 * sa, 7 * sa);
-  const __m256i idx_b = _mm256_setr_epi32(0, sb, 2 * sb, 3 * sb, 4 * sb, 5 * sb, 6 * sb, 7 * sb);
-  __m256 acc = _mm256_setzero_ps();
-  const int64_t vec_n = n & ~int64_t{7};
-  const float* pa = a;
-  const float* pb = b;
-  for (int64_t i = 0; i < vec_n; i += 8) {
-    const __m256 va = _mm256_i32gather_ps(pa, idx_a, 4);
-    const __m256 vb = _mm256_i32gather_ps(pb, idx_b, 4);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-    pa += 8 * stride_a;
-    pb += 8 * stride_b;
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  for (int64_t i = vec_n; i < n; ++i) {
-    lanes[i & 7] += a[i * stride_a] * b[i * stride_b];
-  }
-  float total = 0.0f;
-  for (int j = 0; j < 8; ++j) {
-    total += lanes[j];
-  }
-  return total;
-}
-
-// Gather indices are 32-bit element offsets; keep a wide safety margin.
-constexpr int64_t kMaxGatherStride = int64_t{1} << 27;
-
 #endif  // TAO_SIMD_X86
 
 }  // namespace
@@ -282,14 +250,8 @@ float DotStrided8(const float* a, int64_t stride_a, const float* b, int64_t stri
     return acc;
   }
 #if TAO_SIMD_X86
-  if (ActiveSimdBackend() == SimdBackend::kAvx2) {
-    if (stride_a == 1 && stride_b == 1) {
-      return DotContiguousAvx2(a, b, n);
-    }
-    if (stride_a > 0 && stride_b > 0 && stride_a <= kMaxGatherStride &&
-        stride_b <= kMaxGatherStride) {
-      return DotGatherAvx2(a, stride_a, b, stride_b, n);
-    }
+  if (ActiveSimdBackend() == SimdBackend::kAvx2 && stride_a == 1 && stride_b == 1) {
+    return DotContiguousAvx2(a, b, n);
   }
 #endif
   return DotStrided8Scalar(a, stride_a, b, stride_b, n);
@@ -317,6 +279,9 @@ struct RowLanes {
 
   TAO_TARGET_AVX2_FMA __m256 Load(int64_t i) const { return _mm256_loadu_ps(b + i * step); }
 };
+
+// Gather offsets are 32-bit element offsets; keep a wide safety margin.
+constexpr int64_t kMaxGatherStride = int64_t{1} << 27;
 
 // Lane l reads b[offsets[l] + i*step]; masked-off lanes (l >= lanes) are never read.
 struct GatherLanes {
@@ -461,7 +426,6 @@ TAO_TARGET_AVX2_FMA void ReduceLanes(const DeviceProfile& device, const float* a
       sums = BlockedLanes<kFma>(a, stride_a, b, n, device.block);
       break;
     case AccumulationOrder::kStrided:
-    case AccumulationOrder::kStridedVector:  // vector-eligible: never dispatched here
       sums = StridedLanes<kFma>(a, stride_a, b, n, device.block);
       break;
   }
@@ -500,7 +464,12 @@ void DotLanes(const DeviceProfile& device, const float* a, int64_t stride_a,
   // Blocked and strided orders with block <= 0 take the reference, which rejects them.
   const bool has_block = device.order == AccumulationOrder::kBlocked ||
                          device.order == AccumulationOrder::kStrided;
-  if (!device.vector_eligible() && (!has_block || device.block > 0) && lane_stride > 0 &&
+  // A vector-eligible profile whose lanes are contiguous rows (stride_b == 1) keeps one
+  // DotStrided per lane: its fixed 8-lane tree already vectorizes inside each row, where
+  // the lane kernels would gather one element per row per index (WideMlp's one-row
+  // 4 MB layer ran ~3x slower that way).
+  const bool rows_vectorize = device.vector_eligible() && stride_b == 1;
+  if (!rows_vectorize && (!has_block || device.block > 0) && lane_stride > 0 &&
       lane_stride <= kMaxGatherStride && LaneKernelsActive()) {
     if (device.fma) {
       DotLanesAvx2<true>(device, a, stride_a, b, lane_stride, stride_b, n, lanes, out);

@@ -3,17 +3,17 @@
 // The paper's constraint is that commitments hash exact FP32 values, so a fast kernel
 // is only admissible if it is *bitwise-reproducible* across runs and across hosts
 // (a scalar machine re-executing a claim must reproduce the proposer's vector output
-// bit for bit). The backend achieves this by construction: every vector reduction
-// implements one FIXED reduction tree — eight strided lane accumulators followed by a
-// fixed sequential lane combine — which is exactly the arithmetic of
-// `AccumulationOrder::kStrided` with `block = 8` (aliased as `kStridedVector` in the
-// profile table). One AVX2 ymm register holds the eight lanes, so the vector loop and
-// the scalar loop perform the *same additions in the same order*; they can only differ
-// in speed. A vector unit cannot split one reduction of the other orders (kSequential,
-// kReversed, kPairwiseTree, kBlocked, kStrided with block != 8) across lanes without
-// reassociating it, so those profiles vectorize across outputs instead: DotLanes runs
-// up to eight whole reductions side by side, one per lane, each in the profile's own
-// order.
+// bit for bit). The backend achieves this by construction. A single reduction is
+// vectorized only under one FIXED reduction tree — eight strided lane accumulators
+// followed by a fixed sequential lane combine — which is exactly the arithmetic of
+// `AccumulationOrder::kStrided` with `block = 8` (the RTX6000 profile). One AVX2 ymm
+// register holds the eight lanes, so the vector loop and the scalar loop perform the
+// *same additions in the same order*; they can only differ in speed. A vector unit
+// cannot split one reduction of the other orders (kSequential, kReversed,
+// kPairwiseTree, kBlocked, kStrided with block != 8) across lanes without
+// reassociating it, so the dense kernels vectorize across outputs instead: DotLanes
+// runs up to eight whole reductions side by side, one per lane, each in the profile's
+// own order, for every profile.
 //
 // Dispatch is decided once at startup from CPUID (plus the TAO_DISABLE_SIMD
 // environment escape hatch) and reported through LogSimdBackendOnce() and the
@@ -85,7 +85,9 @@ float SumStrided8(const float* x, int64_t n);
 // Inner product sum_i a[i*stride_a] * b[i*stride_b] under the fixed 8-lane tree.
 // Each product is rounded once before entering the tree (this also matches the
 // staged-FMA profiles: fl(a*b + 0) == fl(a*b) as a summand — the sign of an exact
-// zero product cannot propagate through lane accumulators that start at +0).
+// zero product cannot propagate through lane accumulators that start at +0). The AVX2
+// backend vectorizes contiguous operands (stride_a == stride_b == 1); strided operands
+// take the scalar loop on every backend.
 float DotStrided8(const float* a, int64_t stride_a, const float* b, int64_t stride_b,
                   int64_t n);
 
@@ -96,12 +98,15 @@ inline constexpr int64_t kLanes = 8;
 
 // Up to kLanes inner products sharing the `a` operand, bit for bit equal to
 //   out[l] = device.DotStrided(a, stride_a, b + l * lane_stride, stride_b, n)
-// for l < lanes, on every profile and backend. On AVX2+FMA hosts, profiles that are
-// not vector_eligible() compute all lanes at once: lane l performs exactly the IEEE
-// operations of the profile's scalar reduction of output l (same staged products,
-// same association order, same operand order), and lanes past `lanes` are masked so
-// they never read b. Vector-eligible profiles, the scalar backend and CPUs without
-// FMA evaluate the lanes one by one through DotStrided.
+// for l < lanes, on every profile and backend. The one dense inner-product path of
+// matmul, bmm, linear and conv2d. On AVX2+FMA hosts every profile computes all lanes
+// at once: lane l performs exactly the IEEE operations of the profile's scalar
+// reduction of output l (same staged products, same association order, same operand
+// order), and lanes past `lanes` are masked so they never read b. One case keeps
+// per-lane DotStrided calls: a vector_eligible() profile whose lanes are contiguous
+// rows (stride_b == 1), where the fixed 8-lane tree vectorizes inside each row. The
+// scalar backend and CPUs without FMA also evaluate the lanes one by one through
+// DotStrided.
 void DotLanes(const DeviceProfile& device, const float* a, int64_t stride_a,
               const float* b, int64_t lane_stride, int64_t stride_b, int64_t n,
               int64_t lanes, float* out);

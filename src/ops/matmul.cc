@@ -2,8 +2,10 @@
 //
 // Inner products route through simd::DotLanes, eight outputs at a time, each bit for
 // bit DeviceProfile::DotStrided, so that accumulation order and FMA policy — the real
-// nondeterminism surface of GPU GEMM kernels — vary across the fleet. Bounds use the
-// classic inner-product result
+// nondeterminism surface of GPU GEMM kernels — vary across the fleet. Every profile
+// takes the same path: matmul and bmm read eight consecutive columns straight from
+// B's rows, and linear reads (or packs, see LaneWeights) eight weight rows. Bounds use
+// the classic inner-product result
 //   |fl(xᵀy) − xᵀy| ≤ γ_k · Σ|x_i||y_i|
 // with γ_k or γ̃_k(λ) per BoundContext::mode; linear adds one bias-add rounding.
 
@@ -18,10 +20,6 @@
 namespace tao {
 namespace {
 
-// Output-column panel width for the packed fast path: 64 columns of packed-Bᵀ rows
-// (64·k floats) stay resident in L2 while every row of the chunk sweeps them.
-constexpr int64_t kColumnPanel = 64;
-
 // Task q of an [m, k] x [k, n] product is one DotLanes call for row q % m and the eight
 // output columns of group q / m, every lane reading its column straight from B's rows.
 // Consecutive tasks reuse one k x 8 strip of B, and tasks write disjoint outputs, so
@@ -32,26 +30,6 @@ void MatmulLaneTask(const OpContext& ctx, const float* av, const float* bv, floa
   const int64_t i = q % m;
   simd::DotLanes(ctx.device, av + i * k, 1, bv + j, 1, n, k, std::min(simd::kLanes, n - j),
                  ov + i * n + j);
-}
-
-// Cache-blocked matmul fast path for vector-eligible profiles: packs Bᵀ into arena
-// scratch so every inner product runs over two contiguous operands (the layout real
-// GEMM kernels stage into their tiles), then walks column panels outer / rows inner
-// for L2 reuse. Each output element is still exactly DotStrided(a_row, 1, b_col, n, k)
-// under the fixed 8-lane tree — packing changes memory order, never summation order —
-// so results are bitwise identical to the unpacked path.
-void PackedMatmulPanel(const OpContext& ctx, const float* av, const float* btv,
-                       float* ov, int64_t row_begin, int64_t row_end, int64_t n,
-                       int64_t k) {
-  for (int64_t j0 = 0; j0 < n; j0 += kColumnPanel) {
-    const int64_t j1 = std::min(n, j0 + kColumnPanel);
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = av + i * k;
-      for (int64_t j = j0; j < j1; ++j) {
-        ov[static_cast<size_t>(i * n + j)] = simd::DotStrided8(arow, 1, btv + j * k, 1, k);
-      }
-    }
-  }
 }
 
 class MatmulKernel : public OpKernel {
@@ -78,24 +56,6 @@ class MatmulKernel : public OpKernel {
     const float* av = a.values().data();
     const float* bv = b.values().data();
     auto ov = out.mutable_values();
-    // Packed fast path once the pack cost (n·k) amortizes over enough rows; small-m
-    // products keep the lane tasks, whose strided dots the device already vectorizes.
-    if (ctx.device.vector_eligible() && m >= 4) {
-      Tensor bt = ctx.AllocateScratch(Shape{n, k});
-      float* btv = bt.mutable_values().data();
-      ctx.For(n, [&](int64_t col_begin, int64_t col_end) {
-        for (int64_t j = col_begin; j < col_end; ++j) {
-          for (int64_t p = 0; p < k; ++p) {
-            btv[static_cast<size_t>(j * k + p)] = bv[static_cast<size_t>(p * n + j)];
-          }
-        }
-      });
-      ctx.For(m, [&](int64_t row_begin, int64_t row_end) {
-        PackedMatmulPanel(ctx, av, btv, ov.data(), row_begin, row_end, n, k);
-      });
-      ctx.Recycle(std::move(bt));
-      return out;
-    }
     ctx.For(LaneGroups(n) * m, [&](int64_t begin, int64_t end) {
       for (int64_t q = begin; q < end; ++q) {
         MatmulLaneTask(ctx, av, bv, ov.data(), m, n, k, q);
@@ -200,39 +160,6 @@ class BmmKernel : public OpKernel {
     const float* av = a.values().data();
     const float* bv = b.values().data();
     auto ov = out.mutable_values();
-    // Packed fast path: transpose every batch's B into one scratch block (same total
-    // footprint as B itself), then run the flattened (batch, row) loop over contiguous
-    // panels. Per-batch packing inside the row loop would repack k·n floats once per
-    // row chunk; packing up front keeps both loops perfectly parallel.
-    if (ctx.device.vector_eligible() && batch * m >= 4) {
-      Tensor btall = ctx.AllocateScratch(Shape{batch, n, k});
-      float* btv = btall.mutable_values().data();
-      ctx.For(batch * n, [&](int64_t begin, int64_t end) {
-        for (int64_t c = begin; c < end; ++c) {
-          const int64_t t = c / n;
-          const int64_t j = c % n;
-          const float* src = bv + t * k * n;
-          float* dst = btv + (t * n + j) * k;
-          for (int64_t p = 0; p < k; ++p) {
-            dst[p] = src[p * n + j];
-          }
-        }
-      });
-      ctx.For(batch * m, [&](int64_t begin, int64_t end) {
-        for (int64_t r = begin; r < end; ++r) {
-          const int64_t t = r / m;
-          const int64_t i = r % m;
-          const float* arow = av + (t * m + i) * k;
-          const float* btbase = btv + t * n * k;
-          float* orow = ov.data() + (t * m + i) * n;
-          for (int64_t j = 0; j < n; ++j) {
-            orow[j] = simd::DotStrided8(arow, 1, btbase + j * k, 1, k);
-          }
-        }
-      });
-      ctx.Recycle(std::move(btall));
-      return out;
-    }
     // Split over flattened (batch, lane task) pairs so small-batch bmm still
     // parallelizes.
     const int64_t tasks = LaneGroups(n) * m;  // per batch entry

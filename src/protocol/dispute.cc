@@ -226,14 +226,12 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
     };
 
     // -- Speculative mode: re-execute every fresh child of the round concurrently ----
-    // Policy: always-on (`speculative_reexecution`), or adaptive — only when the
-    // partition is wide AND this round's slice is small enough that wasted
-    // speculative children are cheap (see the DisputeOptions comment; the fig. 8
-    // bench reports the DCR/latency tradeoff of the three policies).
+    // See SpeculationPolicy; the fig. 8 bench reports the DCR/latency tradeoff of
+    // the three policies.
     const bool speculate_this_round =
-        options.speculative_reexecution ||
-        (options.adaptive_speculation && options.partition_n > 2 &&
-         slice.size() <= options.speculative_slice_limit);
+        options.speculation == SpeculationPolicy::kAlways ||
+        (options.speculation == SpeculationPolicy::kAdaptive && options.partition_n > 2 &&
+         slice.size() <= kSpeculativeSliceLimit);
     std::vector<std::map<NodeId, Tensor>> prefetched(records.size());
     std::vector<char> has_prefetch(records.size(), 0);
     if (speculate_this_round && pool != nullptr && records.size() > 1) {

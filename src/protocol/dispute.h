@@ -34,6 +34,27 @@
 
 namespace tao {
 
+// Which rounds re-execute all of their children concurrently instead of lazily
+// stopping at the first offender. Boundaries are proposer-posted values, so they are
+// known up front and verdicts, rounds and gas are the same under every policy; the
+// DCR accounting honestly includes the speculative work past the offender
+// (cost_ratio can rise, wall-clock drops). Speculation fans out only with
+// num_threads > 1.
+enum class SpeculationPolicy {
+  kLazy,      // never speculate
+  // Speculate only where the expected DCR overhead is small: the partition is wide
+  // (partition_n > 2, so lazy selection would serialize many children) AND the
+  // round's slice is at most kSpeculativeSliceLimit ops. Early rounds re-execute
+  // near-full-model slices lazily (the offender is usually found after ~n/2 children
+  // of a huge slice, and speculating there can nearly double challenger FLOPs); late
+  // narrow rounds fan out.
+  kAdaptive,
+  kAlways,    // speculate on every round
+};
+
+// Slice size (in ops) at or below which kAdaptive speculates.
+inline constexpr int64_t kSpeculativeSliceLimit = 64;
+
 struct DisputeOptions {
   int64_t partition_n = 2;         // N-way partition width
   uint64_t challenge_window = 100; // logical ticks
@@ -48,25 +69,7 @@ struct DisputeOptions {
   // Traces, verdicts, rounds, flops, and gas are identical for any value — the
   // protocol compares exact values and the runtime is bitwise deterministic.
   int num_threads = 1;
-  // Re-execute all of a round's children concurrently instead of lazily stopping at
-  // the first offender. Boundaries are proposer-posted values, so they are known
-  // up-front and verdicts are unchanged; the DCR accounting then honestly includes
-  // the speculative work past the offender (cost_ratio can rise; wall-clock drops).
-  bool speculative_reexecution = false;
-  // Adaptive speculation (the ROADMAP follow-on to the always-on knob above, which
-  // stays off by default because it inflates DCR): speculate only on rounds where
-  // the expected DCR overhead is small — the partition is wide (partition_n > 2, so
-  // lazy selection would serialize many children) AND the round's slice is already
-  // small (at most speculative_slice_limit ops, so even fully wasted children cost
-  // little). Early rounds re-execute near-full-model slices lazily (DCR-cheap: the
-  // offender is usually found after ~n/2 children of a HUGE slice, and speculating
-  // there can nearly double challenger FLOPs); late narrow rounds fan out
-  // (latency-cheap: the residual slices are tiny). Verdicts are unchanged either
-  // way; only DCR accounting and wall-clock move. Ignored when
-  // speculative_reexecution is already true.
-  bool adaptive_speculation = false;
-  // Slice-size ceiling (in ops) below which adaptive speculation engages.
-  int64_t speculative_slice_limit = 64;
+  SpeculationPolicy speculation = SpeculationPolicy::kLazy;
 };
 
 struct RoundStats {

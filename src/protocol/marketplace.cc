@@ -24,8 +24,7 @@ struct DrawnTask {
 Marketplace::Marketplace(const Model& model, const ModelCommitment& commitment,
                          const ThresholdSet& thresholds, MarketplaceConfig config)
     : config_(std::move(config)),
-      gateway_(registry_, GatewayOptions{.monitoring = config_.monitoring,
-                                         .pin_workers = config_.pin_workers}) {
+      gateway_(registry_, GatewayOptions{.monitoring = config_.monitoring, .rpc = {}}) {
   // Single-model registry: register + commit up front (the gateway serves in
   // Run()). The coordinator configuration matches the pre-registry member
   // (GasSchedule{}, round_timeout 10, config shards), so the ledger and claim-id
@@ -46,7 +45,6 @@ MarketplaceStats Marketplace::Run() {
 
   ServiceOptions service_options;
   service_options.num_workers = config_.service_workers;
-  service_options.pin_workers = config_.pin_workers;
   service_options.queue_capacity = config_.queue_capacity;
   service_options.admission = AdmissionPolicy::kBlock;
   service_options.batching.initial_hint = config_.verify_batch_size;

@@ -66,10 +66,6 @@ struct MarketplaceConfig {
   // outcome-inert, so stats/gas/ledger/claim ids stay bitwise identical either way
   // (held by the observability test's tracing sweep).
   MonitoringOptions monitoring;
-  // Pin the shared runtime pool's workers to cores (round-robin; TAO_DISABLE_PINNING
-  // overrides; no-op on 1-core hosts). Pure placement — stats, gas, ledgers, and
-  // claim ids stay bitwise identical either way.
-  bool pin_workers = false;
 };
 
 struct MarketplaceStats {

@@ -56,9 +56,6 @@ ServingGateway::ServingGateway(ModelRegistry& registry, GatewayOptions options)
     : registry_(registry), options_(options) {
   TAO_CHECK(options_.total_memory_budget_bytes > 0);
   TAO_CHECK(options_.min_model_budget_bytes > 0);
-  if (options_.pin_workers) {
-    ThreadPool::Shared().PinWorkers();
-  }
   if (options_.rpc.enabled || options_.monitoring.enabled) {
     DispatcherOptions dispatcher_options;
     dispatcher_options.thread_role = options_.rpc.enabled ? "net_poll" : "monitoring";
@@ -72,17 +69,6 @@ ServingGateway::ServingGateway(ModelRegistry& registry, GatewayOptions options)
     pool_gauge_handle_ = ResourceTracker::Get().RegisterGauge(
         "resource/pool_queue_depth",
         [] { return static_cast<double>(ThreadPool::Shared().queue_depth()); });
-    if (options_.pin_workers) {
-      // One placement gauge per pool worker: -1 while unpinned (1-core host or
-      // TAO_DISABLE_PINNING), otherwise the core index the worker is affined to.
-      const int workers = ThreadPool::Shared().num_workers();
-      core_gauge_handles_.reserve(static_cast<size_t>(workers));
-      for (int i = 0; i < workers; ++i) {
-        core_gauge_handles_.push_back(ResourceTracker::Get().RegisterGauge(
-            "worker/" + std::to_string(i) + "/core",
-            [i] { return static_cast<double>(ThreadPool::Shared().worker_core(i)); }));
-      }
-    }
     monitoring_ = std::make_unique<MonitoringServer>(
         options_.monitoring,
         [this] {
@@ -106,9 +92,6 @@ ServingGateway::~ServingGateway() {
   rpc_.reset();
   if (pool_gauge_handle_ != 0) {
     ResourceTracker::Get().UnregisterGauge(pool_gauge_handle_);
-  }
-  for (const size_t handle : core_gauge_handles_) {
-    ResourceTracker::Get().UnregisterGauge(handle);
   }
   DrainAll();
   // Retire every still-attached model (drained above, so teardown is prompt).

@@ -89,11 +89,6 @@ struct GatewayOptions {
   // connections, and `net/...` counters join the gateway's NamedCounters. When
   // monitoring is ALSO enabled, both servers share one epoll dispatcher thread.
   RpcServerOptions rpc;
-  // Pin the shared runtime pool's workers to cores (round-robin over
-  // hardware_concurrency; TAO_DISABLE_PINNING overrides; no-op on 1-core hosts).
-  // Placement only — outcomes never depend on it. When monitoring is also enabled
-  // the placement is exported as one `worker/<n>/core` gauge per pool worker.
-  bool pin_workers = false;
 };
 
 // Per-model slice of a gateway metrics snapshot.
@@ -196,7 +191,6 @@ class ServingGateway {
   std::unique_ptr<RpcServer> rpc_;                // null when disabled
   std::unique_ptr<MonitoringServer> monitoring_;  // null when disabled
   size_t pool_gauge_handle_ = 0;
-  std::vector<size_t> core_gauge_handles_;  // worker/<n>/core, when pinning+monitoring
 
   // Guards slots_ (the routing table). Submit share-locks only long enough to copy
   // the service pointer; blocking admission happens outside the lock, so a stalled

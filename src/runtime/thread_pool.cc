@@ -1,38 +1,14 @@
 #include "src/runtime/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace tao {
-namespace {
-
-bool PinningDisabledByEnv() {
-  const char* env = std::getenv("TAO_DISABLE_PINNING");
-  if (env == nullptr || env[0] == '\0') {
-    return false;
-  }
-  return !(env[0] == '0' && env[1] == '\0');
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_workers) {
   workers_.reserve(static_cast<size_t>(std::max(num_workers, 0)));
-  worker_cores_.assign(static_cast<size_t>(std::max(num_workers, 0)), -1);
   for (int i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::ThreadPool(const ThreadPoolOptions& options) : ThreadPool(options.num_workers) {
-  if (options.pin_threads) {
-    PinWorkers();
   }
 }
 
@@ -69,36 +45,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-int ThreadPool::PinWorkers() {
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores <= 1 || PinningDisabledByEnv()) {
-    return 0;  // nothing to place on a 1-core host; env override for ops escape
-  }
-  int pinned = 0;
-#if defined(__linux__)
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    const int core = static_cast<int>(i % cores);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(core, &set);
-    if (pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set), &set) == 0) {
-      worker_cores_[i] = core;
-      ++pinned;
-    }
-  }
-#endif
-  return pinned;
-}
-
-int ThreadPool::worker_core(int i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (i < 0 || static_cast<size_t>(i) >= worker_cores_.size()) {
-    return -1;
-  }
-  return worker_cores_[static_cast<size_t>(i)];
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -25,17 +25,10 @@
 
 namespace tao {
 
-struct ThreadPoolOptions {
-  int num_workers = 0;
-  // Pin each worker to one core at construction (see PinWorkers below).
-  bool pin_threads = false;
-};
-
 class ThreadPool {
  public:
   // Spawns exactly `num_workers` threads (>= 0). Workers live until destruction.
   explicit ThreadPool(int num_workers);
-  explicit ThreadPool(const ThreadPoolOptions& options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -52,30 +45,15 @@ class ThreadPool {
     return queue_.size();
   }
 
-  // Pins worker i to core (i % hardware_concurrency), round-robin, so workers stop
-  // migrating between cores mid-claim (cache/NUMA placement; a placement change can
-  // never change an outcome — the tracing-inertness and durability suites run with
-  // pinning on to prove it). Placement only: no-op on single-core hosts, when the
-  // TAO_DISABLE_PINNING environment variable is set (non-empty, not "0"), or on
-  // non-Linux builds (pthread_setaffinity_np is the only mechanism used). Idempotent;
-  // safe to call on a live pool. Returns the number of workers actually pinned.
-  int PinWorkers();
-
-  // Core worker i was pinned to, or -1 while unpinned (the worker/<n>/core gauge).
-  int worker_core(int i) const;
-
   // Process-wide shared pool, created on first use. Sized so that even a
   // single-core CI box can genuinely exercise `num_threads = 8` execution paths:
   // max(hardware_concurrency, 8) - 1 workers (the caller thread is the +1).
-  // Unpinned until some subsystem configured with pin_workers calls PinWorkers().
   static ThreadPool& Shared();
 
  private:
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  // Written under mu_ by PinWorkers; read by worker_core.
-  std::vector<int> worker_cores_;
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
   std::condition_variable cv_;

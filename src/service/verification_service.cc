@@ -6,7 +6,6 @@
 
 #include "src/device/simd.h"
 #include "src/observability/resource_tracker.h"
-#include "src/runtime/thread_pool.h"
 #include "src/observability/trace.h"
 #include "src/util/check.h"
 
@@ -35,12 +34,6 @@ VerificationService::VerificationService(const Model& model,
   TAO_CHECK(options_.num_workers >= 1) << "service needs at least one verify worker";
   // Record which kernel backend serves this host's commitments (once per process).
   LogSimdBackendOnce();
-  // Optional worker->core placement for the shared kernel pool (idempotent; purely
-  // a locality knob — every outcome is a bitwise function of the accepted
-  // subsequence regardless of where workers run).
-  if (options_.pin_workers) {
-    ThreadPool::Shared().PinWorkers();
-  }
   // One resolve lane per coordinator shard: lane k is the only thread that ever
   // touches shard k, which is what makes each shard's history single-writer.
   const size_t num_lanes = coordinator.num_shards();

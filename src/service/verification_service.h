@@ -67,10 +67,6 @@ struct ServiceOptions {
   // kMinForkFlops). More workers run more cohorts at once and overlap cohort
   // setup/teardown and dispute plans.
   int num_workers = 1;
-  // Pin the shared runtime pool's workers to cores at service startup (round-robin
-  // over hardware_concurrency; TAO_DISABLE_PINNING overrides; no-op on 1-core
-  // hosts). Placement only — outcomes are bitwise identical either way.
-  bool pin_workers = false;
   size_t queue_capacity = 256;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   // Bounds one submitter's resident queue share (0 = off). See SubmissionQueue.

@@ -279,8 +279,8 @@ TEST_F(SimdEquivalenceTest, SumBitwiseAcrossSizesAndAlignments) {
 }
 
 TEST_F(SimdEquivalenceTest, DotBitwiseAcrossSizesStridesAndAlignments) {
-  // Strides cover the matmul fast path (1,1), the fallback's column walk (1,n) which
-  // exercises the gather kernel, and a doubly-strided case.
+  // Strides cover the contiguous vector kernel (1,1) and strided operands, which take
+  // the scalar loop on both backends.
   const std::vector<std::pair<int64_t, int64_t>> strides = {{1, 1}, {1, 7}, {3, 1}, {2, 5}};
   for (const size_t n : SimdSizes()) {
     for (const auto& [sa, sb] : strides) {
@@ -312,7 +312,7 @@ std::vector<DeviceProfile> LaneTestProfiles() {
   const std::pair<AccumulationOrder, int64_t> orders[] = {
       {AccumulationOrder::kSequential, 0}, {AccumulationOrder::kReversed, 0},
       {AccumulationOrder::kPairwiseTree, 0}, {AccumulationOrder::kBlocked, 7},
-      {AccumulationOrder::kStrided, 4},      {AccumulationOrder::kStridedVector, 8}};
+      {AccumulationOrder::kStrided, 4},      {AccumulationOrder::kStrided, 8}};
   for (const auto& [order, block] : orders) {
     for (const bool fma : {false, true}) {
       DeviceProfile p = DeviceRegistry::Reference();
@@ -498,50 +498,26 @@ TEST_F(SimdEquivalenceTest, RowMaxMatchesScalarFold) {
   }
 }
 
-TEST(SimdProfileTest, StridedVectorIsBitwiseAliasOfStridedBlock8) {
-  DeviceProfile strided = DeviceRegistry::Reference();
-  strided.order = AccumulationOrder::kStrided;
-  strided.block = 8;
-  DeviceProfile vec = strided;
-  vec.order = AccumulationOrder::kStridedVector;
-  ASSERT_TRUE(strided.vector_eligible());
-  ASSERT_TRUE(vec.vector_eligible());
-  for (const size_t n : SimdSizes()) {
-    const auto xs = HardVector(n, 0xa11a + n);
-    const auto ys = HardVector(n, 0xa22a + n);
-    EXPECT_TRUE(BitEq(strided.Accumulate(xs), vec.Accumulate(xs))) << "n=" << n;
-    if (n > 0) {
-      EXPECT_TRUE(BitEq(
-          strided.DotStrided(xs.data(), 1, ys.data(), 1, static_cast<int64_t>(n)),
-          vec.DotStrided(xs.data(), 1, ys.data(), 1, static_cast<int64_t>(n))))
-          << "n=" << n;
-    }
-  }
-}
-
 TEST(SimdProfileTest, VectorPathEqualsScalarStridedSemantics) {
-  // The dispatched vector-eligible path must reproduce the *profile semantics*
-  // (kStrided block=8 staged products), not merely agree with itself: compare the
-  // RTX6000 vector profile against a plain kStrided(8) profile forced scalar.
+  // The dispatched vector-eligible path must reproduce the scalar *profile semantics*
+  // (kStrided block=8 staged products): compare the RTX6000 profile on the active
+  // backend against the same profile forced scalar.
   const DeviceProfile& rtx6000 = DeviceRegistry::ByName("RTX6000");
   ASSERT_TRUE(rtx6000.vector_eligible());
-  DeviceProfile pinned = rtx6000;
-  pinned.order = AccumulationOrder::kStrided;
-  pinned.block = 8;
   for (const size_t n : SimdSizes()) {
     const auto xs = HardVector(n, 0xbead + n);
     const auto ys = HardVector(n, 0xcead + n);
-    float pinned_sum = 0.0f, pinned_dot = 0.0f;
+    float scalar_sum = 0.0f, scalar_dot = 0.0f;
     {
       ScopedSimdBackend force(SimdBackend::kScalar);
-      pinned_sum = pinned.Accumulate(xs);
-      pinned_dot = pinned.DotStrided(xs.data(), 1, ys.data(), 1,
-                                     static_cast<int64_t>(n));
+      scalar_sum = rtx6000.Accumulate(xs);
+      scalar_dot = rtx6000.DotStrided(xs.data(), 1, ys.data(), 1,
+                                      static_cast<int64_t>(n));
     }
-    EXPECT_TRUE(BitEq(rtx6000.Accumulate(xs), pinned_sum)) << "n=" << n;
+    EXPECT_TRUE(BitEq(rtx6000.Accumulate(xs), scalar_sum)) << "n=" << n;
     EXPECT_TRUE(BitEq(rtx6000.DotStrided(xs.data(), 1, ys.data(), 1,
                                          static_cast<int64_t>(n)),
-                      pinned_dot))
+                      scalar_dot))
         << "n=" << n;
   }
 }
@@ -588,18 +564,14 @@ TEST(SimdProfileTest, BackendNamesAndSupport) {
   EXPECT_TRUE(SimdBackendSupported(ActiveSimdBackend()));
 }
 
-TEST(FleetSignatureTest, StableUnderVectorRelabelOnly) {
+TEST(FleetSignatureTest, PinnedAndMovedByArithmeticChanges) {
   std::vector<DeviceProfile> fleet = DeviceRegistry::Fleet();
   const std::string sig = FleetSignature(fleet);
-  // Relabelling kStridedVector back to kStrided(8) is arithmetic-neutral: the
-  // signature must not move (published calibrations stay valid).
-  for (DeviceProfile& d : fleet) {
-    if (d.order == AccumulationOrder::kStridedVector) {
-      d.order = AccumulationOrder::kStrided;
-      d.block = 8;
-    }
-  }
-  EXPECT_EQ(FleetSignature(fleet), sig);
+  // Published calibrations embed this exact string; it must never move without a
+  // change to the fleet's arithmetic.
+  EXPECT_EQ(sig,
+            "vmath1;H100:tree:0:fma1:dbl;A100:blocked:128:fma1:fn;"
+            "RTX4090:blocked:32:fma0:fn;RTX6000:strided:8:fma1:fn");
   // Any arithmetic change must move it.
   fleet[0].fma = !fleet[0].fma;
   EXPECT_NE(FleetSignature(fleet), sig);

@@ -1202,10 +1202,6 @@ std::vector<BatchClaimOutcome> RunService(const Model& model,
                      /*supervised_rate=*/0.6);
   ServiceOptions options;
   options.num_workers = workers;
-  // Pinned placement for every durable-service run: the changelog digests and
-  // recovery comparisons below must be identical with workers pinned to cores
-  // (pinning is outcome-inert; this suite holds that against crash/replay).
-  options.pin_workers = true;
   options.queue_capacity = 4;
   options.batching.initial_hint = 3;
   options.verifier.dispute.num_threads = 2;

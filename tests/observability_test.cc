@@ -647,17 +647,11 @@ class ObservabilityIntegrationTest : public ::testing::Test {
   static SweepResult RunWorkload(const std::vector<BatchClaim>& claims,
                                  int dispute_threads = 1) {
     ModelRegistry registry;
-    // Pin the shared pool's workers for the whole sweep: placement is part of
-    // the outcome-inertness contract this suite holds, so the bitwise
-    // comparisons below must survive it exactly like tracing on/off.
-    GatewayOptions gateway_options;
-    gateway_options.pin_workers = true;
-    ServingGateway gateway(registry, gateway_options);
+    ServingGateway gateway(registry);
     const ModelId id = registry.Register(*model_);
     registry.Commit(id, *commitment_, *thresholds_);
     ServiceOptions options;
     options.num_workers = 2;
-    options.pin_workers = true;
     options.queue_capacity = 4;
     options.batching.initial_hint = 3;
     options.verifier.reuse_buffers = true;
@@ -809,7 +803,6 @@ TEST_F(ObservabilityIntegrationTest, GatewayMonitoringServesLiveCountersAndTrace
   gateway_options.monitoring.port = 0;
   gateway_options.monitoring.sampler_period_ms = 10;
   gateway_options.monitoring.trace.slow_claim_ms = 0.0;
-  gateway_options.pin_workers = true;  // exports one worker/<n>/core gauge per worker
   ServingGateway gateway(registry, gateway_options);
   ASSERT_NE(gateway.monitoring(), nullptr);
   const int port = gateway.monitoring()->port();
@@ -831,9 +824,6 @@ TEST_F(ObservabilityIntegrationTest, GatewayMonitoringServesLiveCountersAndTrace
   EXPECT_NE(metrics.find("worker/0/cpu_seconds"), std::string::npos);
   EXPECT_NE(metrics.find("lane/0/cpu_seconds"), std::string::npos);
   EXPECT_NE(metrics.find("resource/pool_queue_depth"), std::string::npos);
-  // Pinned placement gauge: value is the assigned core, or -1 when pinning was
-  // a no-op (1-core host or TAO_DISABLE_PINNING) — the gauge must exist either way.
-  EXPECT_NE(metrics.find("worker/0/core"), std::string::npos);
 
   const std::string traces = HttpGet(port, "/traces");
   EXPECT_NE(traces.find("deliver"), std::string::npos)

@@ -521,7 +521,7 @@ TEST_F(OpsTest, TransposeRejectsNonPermutation) {
 //
 // The vectorized backend (src/device/simd.h) claims bitwise identity with the scalar
 // loops: the fixed 8-lane tree of vector-eligible profiles, and DotLanes' one output
-// per lane for every other order. These sweeps check the claim where it matters: whole
+// per lane for every order. These sweeps check the claim where it matters: whole
 // operator forwards and bound templates, and full zoo-model traces, on every fleet
 // profile, the reference, and synthetic profiles covering the remaining orders.
 // Bitwise-equal outputs imply equal result commitments (C0 hashes exact FP32 bytes),

@@ -5,12 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,72 +47,6 @@ TEST(ThreadPoolTest, SharedPoolSupportsEightWayExecution) {
   // The shared pool must be wide enough to host num_threads = 8 runs even on a
   // single-core CI box (7 workers + caller).
   EXPECT_GE(ThreadPool::Shared().num_workers(), 7);
-}
-
-// The documented escape hatch: TAO_DISABLE_PINNING set to a non-empty value other
-// than "0" turns PinWorkers() into a no-op (CI runs every suite once with it set).
-bool PinningDisabledByEnv() {
-  const char* env = std::getenv("TAO_DISABLE_PINNING");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
-
-TEST(ThreadPoolTest, PinWorkersAssignsRoundRobinCores) {
-  const unsigned cores = std::thread::hardware_concurrency();
-  ThreadPool pool(4);
-  const int pinned = pool.PinWorkers();
-  if (cores <= 1 || PinningDisabledByEnv()) {
-    // Single-core host or pinning disabled: a documented no-op.
-    EXPECT_EQ(pinned, 0);
-    EXPECT_EQ(pool.worker_core(0), -1);
-    return;
-  }
-  EXPECT_EQ(pinned, 4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(pool.worker_core(i), static_cast<int>(i % cores)) << "worker " << i;
-  }
-  EXPECT_EQ(pool.worker_core(-1), -1);
-  EXPECT_EQ(pool.worker_core(99), -1);
-  EXPECT_EQ(pool.PinWorkers(), 4);  // idempotent
-  // Placement must not affect execution: the pool still runs everything.
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&] { done.fetch_add(1); });
-  }
-  while (done.load() < 64) {
-  }
-}
-
-TEST(ThreadPoolTest, PinningDisabledByEnvironment) {
-  const char* caller = std::getenv("TAO_DISABLE_PINNING");
-  const std::optional<std::string> saved =
-      caller != nullptr ? std::optional<std::string>(caller) : std::nullopt;
-  setenv("TAO_DISABLE_PINNING", "1", 1);
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.PinWorkers(), 0);
-  EXPECT_EQ(pool.worker_core(0), -1);
-  EXPECT_EQ(pool.worker_core(1), -1);
-  // Restore the caller's setting so later tests see the environment they ran under.
-  if (saved.has_value()) {
-    setenv("TAO_DISABLE_PINNING", saved->c_str(), 1);
-  } else {
-    unsetenv("TAO_DISABLE_PINNING");
-  }
-}
-
-TEST(ThreadPoolTest, OptionsConstructorPinsAtStartup) {
-  ThreadPoolOptions options;
-  options.num_workers = 3;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  EXPECT_EQ(pool.num_workers(), 3);
-  const bool pins = std::thread::hardware_concurrency() > 1 && !PinningDisabledByEnv();
-  EXPECT_EQ(pool.worker_core(0), pins ? 0 : -1);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&] { done.fetch_add(1); });
-  }
-  while (done.load() < 32) {
-  }
 }
 
 // ----------------------------------- ParallelFor -----------------------------------
@@ -353,38 +284,43 @@ TEST(RuntimeDeterminismTest, ParallelDisputeGameMatchesSequentialVerdict) {
   const Tensor delta = Tensor::Randn(g.node(target).shape, delta_rng, 5e-2f);
   const std::vector<Executor::Perturbation> cheat = {{target, delta}};
 
-  DisputeResult baseline;
-  {
+  const auto run = [&](const DisputeOptions& options) {
     Coordinator coordinator;
-    DisputeGame game(model, commitment, thresholds, coordinator);
-    baseline = game.Run(input, DeviceRegistry::ByName("H100"),
-                        DeviceRegistry::ByName("RTX4090"), cheat);
-  }
-  ASSERT_TRUE(baseline.proposer_guilty);
-  ASSERT_EQ(baseline.leaf_op, target);
-
-  for (const bool speculative : {false, true}) {
-    Coordinator coordinator;
-    DisputeOptions options;
-    options.num_threads = 4;
-    options.speculative_reexecution = speculative;
     DisputeGame game(model, commitment, thresholds, coordinator, options);
-    const DisputeResult result = game.Run(input, DeviceRegistry::ByName("H100"),
-                                          DeviceRegistry::ByName("RTX4090"), cheat);
-    // The runtime is bitwise deterministic, so every protocol-visible outcome —
-    // verdict, localization, round count, on-chain gas — matches the sequential game.
-    EXPECT_EQ(result.proposer_guilty, baseline.proposer_guilty);
-    EXPECT_EQ(result.leaf_op, baseline.leaf_op);
-    EXPECT_EQ(result.final_state, baseline.final_state);
-    EXPECT_EQ(result.rounds, baseline.rounds);
-    EXPECT_EQ(result.total_merkle_checks, baseline.total_merkle_checks);
-    EXPECT_EQ(result.gas_used, baseline.gas_used);
-    if (!speculative) {
-      // Lazy scheduling also performs the exact same amount of challenger work.
-      EXPECT_EQ(result.challenger_flops, baseline.challenger_flops);
-    } else {
-      // Speculation may do extra (honestly accounted) work, never less.
-      EXPECT_GE(result.challenger_flops, baseline.challenger_flops);
+    return game.Run(input, DeviceRegistry::ByName("H100"), DeviceRegistry::ByName("RTX4090"),
+                    cheat);
+  };
+  // kAdaptive speculates only when partition_n > 2, so N = 4 is where it engages.
+  for (const int64_t n : {2, 4}) {
+    DisputeOptions sequential;
+    sequential.partition_n = n;
+    const DisputeResult baseline = run(sequential);
+    ASSERT_TRUE(baseline.proposer_guilty) << "N=" << n;
+    ASSERT_EQ(baseline.leaf_op, target) << "N=" << n;
+
+    for (const SpeculationPolicy policy :
+         {SpeculationPolicy::kLazy, SpeculationPolicy::kAdaptive, SpeculationPolicy::kAlways}) {
+      DisputeOptions options = sequential;
+      options.num_threads = 4;
+      options.speculation = policy;
+      const DisputeResult result = run(options);
+      // The runtime is bitwise deterministic, so every protocol-visible outcome —
+      // verdict, localization, round count, on-chain gas — matches the sequential game.
+      const std::string where =
+          "N=" + std::to_string(n) + " policy=" + std::to_string(static_cast<int>(policy));
+      EXPECT_EQ(result.proposer_guilty, baseline.proposer_guilty) << where;
+      EXPECT_EQ(result.leaf_op, baseline.leaf_op) << where;
+      EXPECT_EQ(result.final_state, baseline.final_state) << where;
+      EXPECT_EQ(result.rounds, baseline.rounds) << where;
+      EXPECT_EQ(result.total_merkle_checks, baseline.total_merkle_checks) << where;
+      EXPECT_EQ(result.gas_used, baseline.gas_used) << where;
+      if (policy == SpeculationPolicy::kLazy) {
+        // Lazy scheduling also performs the exact same amount of challenger work.
+        EXPECT_EQ(result.challenger_flops, baseline.challenger_flops) << where;
+      } else {
+        // Speculation may do extra (honestly accounted) work, never less.
+        EXPECT_GE(result.challenger_flops, baseline.challenger_flops) << where;
+      }
     }
   }
 }
