@@ -106,105 +106,5 @@ int main() {
               "N=2 to ~3 at N>=12); dispute time drops sharply then plateaus; Merkle\n"
               "checks shrink with N; both substeps decay with round index as slices\n"
               "shrink. Guideline N in [8,12].\n");
-
-  // --- Speculation-policy tradeoff (the ROADMAP adaptive-speculation item) ----------
-  // Speculation is off (kLazy) by default because fanning every round's children
-  // out inflates the DCR (wasted work past the offender, worst on the huge
-  // early-round slices). kAdaptive speculates only when partition_n > 2 and the
-  // round's slice is already small, buying back most of the wall-clock win at a
-  // fraction of the DCR cost. Verdicts are identical across policies (checked
-  // below) — only cost accounting and latency move.
-  std::printf("\n=== speculation policy: DCR vs dispute latency ===\n\n");
-  TablePrinter spec_table({"N", "policy", "avg dispute time (ms)", "avg cost ratio",
-                           "avg reexec flops (M)"});
-  for (const int64_t n : {4, 8}) {
-    // One lazy run per site serves as BOTH the kLazy row and the verdict
-    // reference the speculative policies are checked against.
-    struct LazyRun {
-      NodeId site;
-      Tensor delta;
-      DisputeResult result;
-      double elapsed_ms = 0.0;
-    };
-    std::vector<LazyRun> lazy_runs;
-    for (const NodeId site : sites) {
-      Rng delta_rng(0xde17a + static_cast<uint64_t>(site));
-      LazyRun run;
-      run.site = site;
-      run.delta = Tensor::Randn(graph.node(site).shape, delta_rng, 5e-2f);
-      Coordinator coordinator;
-      DisputeOptions options;
-      options.partition_n = n;
-      options.num_threads = 4;  // speculation needs the pool to fan out on
-      DisputeGame game(model, commitment, thresholds, coordinator, options);
-      Stopwatch watch;
-      run.result = game.Run(input, DeviceRegistry::ByName("H100"),
-                            DeviceRegistry::ByName("RTX4090"), {{site, run.delta}});
-      run.elapsed_ms = watch.ElapsedMillis();
-      lazy_runs.push_back(std::move(run));
-    }
-
-    bool verdicts_consistent = true;
-    for (const SpeculationPolicy policy :
-         {SpeculationPolicy::kLazy, SpeculationPolicy::kAdaptive, SpeculationPolicy::kAlways}) {
-      double total_time_ms = 0.0;
-      double total_ratio = 0.0;
-      double total_flops = 0.0;
-      int games = 0;
-      for (const LazyRun& lazy : lazy_runs) {
-        DisputeResult result;
-        double elapsed;
-        if (policy == SpeculationPolicy::kLazy) {
-          result = lazy.result;
-          elapsed = lazy.elapsed_ms;
-        } else {
-          Coordinator coordinator;
-          DisputeOptions options;
-          options.partition_n = n;
-          options.num_threads = 4;
-          options.speculation = policy;
-          DisputeGame game(model, commitment, thresholds, coordinator, options);
-          Stopwatch watch;
-          result = game.Run(input, DeviceRegistry::ByName("H100"),
-                            DeviceRegistry::ByName("RTX4090"),
-                            {{lazy.site, lazy.delta}});
-          elapsed = watch.ElapsedMillis();
-          // Cross-policy verdict check: speculation may only move cost accounting
-          // and wall-clock; changing a verdict is a correctness bug, not a tradeoff.
-          if (result.proposer_guilty != lazy.result.proposer_guilty ||
-              result.rounds != lazy.result.rounds ||
-              result.leaf_op != lazy.result.leaf_op) {
-            verdicts_consistent = false;
-          }
-        }
-        if (!result.proposer_guilty) {
-          continue;
-        }
-        total_time_ms += elapsed;
-        total_ratio += result.cost_ratio;
-        total_flops += static_cast<double>(result.challenger_flops) / 1e6;
-        ++games;
-      }
-      const char* name = policy == SpeculationPolicy::kLazy       ? "lazy"
-                         : policy == SpeculationPolicy::kAdaptive ? "adaptive"
-                                                                  : "always";
-      spec_table.AddRow({std::to_string(n), name,
-                         TablePrinter::Fixed(total_time_ms / games, 1),
-                         TablePrinter::Fixed(total_ratio / games, 2),
-                         TablePrinter::Fixed(total_flops / games, 1)});
-    }
-    if (!verdicts_consistent) {
-      std::printf("VERDICT DIVERGENCE across speculation policies at N=%lld\n",
-                  static_cast<long long>(n));
-      return 1;
-    }
-  }
-  spec_table.Print();
-  std::printf("\nAdaptive speculates only when partition_n > 2 and the round slice is\n"
-              "<= %lld ops: early giant-slice rounds stay lazy (that is where wasted\n"
-              "children dominate DCR), late narrow rounds fan out (latency win, DCR\n"
-              "noise). Expect: cost ratio lazy <= adaptive << always, with adaptive\n"
-              "recovering most of always's wall-clock drop on multi-core hosts.\n",
-              static_cast<long long>(kSpeculativeSliceLimit));
   return 0;
 }

@@ -37,7 +37,8 @@ void RunModel(const char* label, const Model& model) {
                                             0x7ab1e2 + static_cast<uint64_t>(scale * 10));
     const double fp = HonestFalsePositiveRate(model, thresholds, scale, 20,
                                               0xfa15e + static_cast<uint64_t>(scale));
-    std::vector<std::string> row = {"Empirical", "x" + TablePrinter::Fixed(scale, 0)};
+    std::vector<std::string> row = {"Empirical",
+                                    std::string("x").append(TablePrinter::Fixed(scale, 0))};
     for (const BucketCell& cell : buckets) {
       row.push_back(CellString(cell));
     }

@@ -55,7 +55,8 @@ int main() {
                           "TailAdj@90", "RollSD@90"});
   for (const size_t grid_index : {6u, 10u, 14u}) {
     const StabilitySummary s = SummarizeStability(calibration, grid_index);
-    stability.AddRow({"p" + std::to_string(static_cast<int>(calibration.grid[grid_index])),
+    stability.AddRow({std::string("p").append(
+                          std::to_string(static_cast<int>(calibration.grid[grid_index]))),
                       TablePrinter::Fixed(s.supnorm_p50, 3), TablePrinter::Fixed(s.supnorm_p90, 3),
                       TablePrinter::Fixed(s.jackknife_p90, 3),
                       TablePrinter::Fixed(s.tailadj_p90, 3),

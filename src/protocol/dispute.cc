@@ -86,7 +86,6 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
                           const ExecutionTrace& proposer_trace) {
   const Graph& graph = *model.graph;
   DisputeResult result;
-  ThreadPool* pool = options.num_threads > 1 ? &ThreadPool::Shared() : nullptr;
 
   // ---- Phase 2: dispute localization -------------------------------------------------
   result.challenge_raised = true;
@@ -123,11 +122,10 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
   // DCR optimization (what makes the Table 3 cost ratio land in ~[0.4, 1.25] rather
   // than ~[1, 2]): when the challenger re-executes a slice from an agreed boundary,
   // it keeps those values. At the next round, the FIRST child of the selected slice
-  // has an unchanged boundary, so its comparison is free; only children past the
-  // first accepted one (whose boundaries switch to the proposer's posted live-outs)
-  // need fresh re-execution.
+  // is a prefix of it with an unchanged boundary, so its comparison is free; only
+  // children past the first accepted one (whose boundaries switch to the proposer's
+  // posted live-outs) need fresh re-execution.
   std::map<NodeId, Tensor> challenger_cache;
-  bool first_child_cached = false;
   while (slice.size() > 1) {
     RoundStats round;
     round.round = result.rounds;
@@ -168,124 +166,53 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
     round.children = static_cast<int64_t>(records.size());
 
     // -- Challenger: verify proofs, re-execute children in order, select offender ----
-    // Merkle inclusion checks are independent read-only hash verifications: fan them
-    // out per child. The metered count is the (deterministic) proof total.
+    // Every posted proof is checked, so the metered count is the (deterministic)
+    // proof total, independent of where selection stops.
     Stopwatch selection_watch;
-    const ParallelFor verify_parallel(pool, options.num_threads);
-    verify_parallel(static_cast<int64_t>(records.size()), [&](int64_t begin, int64_t end) {
-      for (int64_t j = begin; j < end; ++j) {
-        const ChildRecord& record = records[static_cast<size_t>(j)];
-        for (size_t i = 0; i < record.weight_proofs.size(); ++i) {
-          TAO_CHECK(commitment.VerifyWeight(graph, record.weight_proof_nodes[i],
-                                            record.weight_proofs[i]))
-              << "weight proof failed";
-        }
-        for (size_t i = 0; i < record.signature_proofs.size(); ++i) {
-          TAO_CHECK(commitment.VerifySignature(graph, record.signature_proof_nodes[i],
-                                               record.signature_proofs[i]))
-              << "signature proof failed";
-        }
-      }
-    });
-    int64_t proofs_checked = 0;
     for (const ChildRecord& record : records) {
-      proofs_checked += static_cast<int64_t>(record.weight_proofs.size()) +
-                        static_cast<int64_t>(record.signature_proofs.size());
+      for (size_t i = 0; i < record.weight_proofs.size(); ++i) {
+        TAO_CHECK(commitment.VerifyWeight(graph, record.weight_proof_nodes[i],
+                                          record.weight_proofs[i]))
+            << "weight proof failed";
+      }
+      for (size_t i = 0; i < record.signature_proofs.size(); ++i) {
+        TAO_CHECK(commitment.VerifySignature(graph, record.signature_proof_nodes[i],
+                                             record.signature_proofs[i]))
+            << "signature proof failed";
+      }
+      round.merkle_proofs += static_cast<int64_t>(record.weight_proofs.size() +
+                                                  record.signature_proofs.size());
     }
-    round.merkle_proofs = proofs_checked;
-    result.total_merkle_checks += proofs_checked;
-
-    // Boundary for a child: agreed values extended by earlier children's accepted
-    // live-outs. Every extension is a proposer-posted value, so the boundary is
-    // derivable before any child re-executes — which is what lets the speculative
-    // mode fan all fresh children out at once with unchanged verdicts.
-    const auto child_boundary = [&](const ChildRecord& record) {
-      std::map<NodeId, Tensor> boundary;
-      for (size_t i = 0; i < record.frontier.live_in.size(); ++i) {
-        const NodeId in = record.frontier.live_in[i];
-        const auto it = agreed.find(in);
-        if (it != agreed.end()) {
-          boundary.emplace(in, it->second);
-        } else {
-          // Live-in produced inside this dispute's already-accepted region but not
-          // yet copied into `agreed`: take the proposer's posted value (implicit
-          // agreement, Sec. 2.2).
-          boundary.emplace(in, record.live_in_values[i]);
-        }
-      }
-      return boundary;
-    };
-    const auto cache_covers = [&](const Slice& s) {
-      const std::vector<NodeId>& ops = graph.op_nodes();
-      for (int64_t i = s.begin; i < s.end; ++i) {
-        if (challenger_cache.count(ops[static_cast<size_t>(i)]) == 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-
-    // -- Speculative mode: re-execute every fresh child of the round concurrently ----
-    // See SpeculationPolicy; the fig. 8 bench reports the DCR/latency tradeoff of
-    // the three policies.
-    const bool speculate_this_round =
-        options.speculation == SpeculationPolicy::kAlways ||
-        (options.speculation == SpeculationPolicy::kAdaptive && options.partition_n > 2 &&
-         slice.size() <= kSpeculativeSliceLimit);
-    std::vector<std::map<NodeId, Tensor>> prefetched(records.size());
-    std::vector<char> has_prefetch(records.size(), 0);
-    if (speculate_this_round && pool != nullptr && records.size() > 1) {
-      std::vector<std::map<NodeId, Tensor>> boundaries(records.size());
-      for (size_t j = 0; j < records.size(); ++j) {
-        if (j == 0 && first_child_cached && cache_covers(records[0].slice)) {
-          continue;  // served from the challenger's cache below
-        }
-        has_prefetch[j] = 1;
-        boundaries[j] = child_boundary(records[j]);
-      }
-      const ParallelFor children_parallel(pool, options.num_threads);
-      children_parallel(static_cast<int64_t>(records.size()),
-                        [&](int64_t begin, int64_t end) {
-                          for (int64_t j = begin; j < end; ++j) {
-                            if (has_prefetch[static_cast<size_t>(j)]) {
-                              prefetched[static_cast<size_t>(j)] = ExecuteSlice(
-                                  graph, challenger_device,
-                                  records[static_cast<size_t>(j)].slice,
-                                  boundaries[static_cast<size_t>(j)],
-                                  options.num_threads);
-                            }
-                          }
-                        });
-      for (size_t j = 0; j < records.size(); ++j) {
-        if (has_prefetch[j]) {
-          // Honest DCR accounting: speculative work past the offender still counts.
-          round.children_reexecuted += 1;
-          round.reexec_flops += SliceFlops(graph, records[j].slice);
-        }
-      }
-    }
+    result.total_merkle_checks += round.merkle_proofs;
 
     int64_t selected = -1;
-    bool selected_child_cached = false;
     for (size_t j = 0; j < records.size(); ++j) {
       const ChildRecord& record = records[j];
-      // The first child's boundary is unchanged from the parent re-execution, so its
-      // values are already in the cache; later children must be re-executed from the
-      // proposer's (freshly agreed) boundary values.
-      const bool reuse = (j == 0) && first_child_cached;
       std::map<NodeId, Tensor> reexec;
-      if (reuse && cache_covers(record.slice)) {
+      if (j == 0 && result.rounds > 0) {
+        // Served from the cache of the round that selected this slice.
         const std::vector<NodeId>& ops = graph.op_nodes();
         for (int64_t i = record.slice.begin; i < record.slice.end; ++i) {
           const NodeId id = ops[static_cast<size_t>(i)];
           reexec.emplace(id, challenger_cache.at(id));
         }
-      } else if (has_prefetch[j]) {
-        reexec = std::move(prefetched[j]);
-      }
-      if (reexec.empty()) {
-        reexec = ExecuteSlice(graph, challenger_device, record.slice,
-                              child_boundary(record), options.num_threads);
+      } else {
+        // Boundary: agreed values extended by earlier children's accepted live-outs.
+        std::map<NodeId, Tensor> boundary;
+        for (size_t i = 0; i < record.frontier.live_in.size(); ++i) {
+          const NodeId in = record.frontier.live_in[i];
+          const auto it = agreed.find(in);
+          if (it != agreed.end()) {
+            boundary.emplace(in, it->second);
+          } else {
+            // Live-in produced inside this dispute's already-accepted region but not
+            // yet copied into `agreed`: take the proposer's posted value (implicit
+            // agreement, Sec. 2.2).
+            boundary.emplace(in, record.live_in_values[i]);
+          }
+        }
+        reexec = ExecuteSlice(graph, challenger_device, record.slice, boundary,
+                              options.num_threads);
         round.children_reexecuted += 1;
         round.reexec_flops += SliceFlops(graph, record.slice);
       }
@@ -300,7 +227,6 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
       }
       if (offending) {
         selected = static_cast<int64_t>(j);
-        selected_child_cached = true;
         challenger_cache = std::move(reexec);
         // Inputs to the selected child become agreed (implicitly, by selecting it).
         for (size_t i = 0; i < record.frontier.live_in.size(); ++i) {
@@ -313,7 +239,6 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
         agreed.emplace(record.frontier.live_out[o], record.live_out_values[o]);
       }
     }
-    first_child_cached = selected_child_cached;
     round.challenger_selection_ms = selection_watch.ElapsedMillis();
     result.challenger_flops += round.reexec_flops;
 

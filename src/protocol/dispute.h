@@ -34,27 +34,6 @@
 
 namespace tao {
 
-// Which rounds re-execute all of their children concurrently instead of lazily
-// stopping at the first offender. Boundaries are proposer-posted values, so they are
-// known up front and verdicts, rounds and gas are the same under every policy; the
-// DCR accounting honestly includes the speculative work past the offender
-// (cost_ratio can rise, wall-clock drops). Speculation fans out only with
-// num_threads > 1.
-enum class SpeculationPolicy {
-  kLazy,      // never speculate
-  // Speculate only where the expected DCR overhead is small: the partition is wide
-  // (partition_n > 2, so lazy selection would serialize many children) AND the
-  // round's slice is at most kSpeculativeSliceLimit ops. Early rounds re-execute
-  // near-full-model slices lazily (the offender is usually found after ~n/2 children
-  // of a huge slice, and speculating there can nearly double challenger FLOPs); late
-  // narrow rounds fan out.
-  kAdaptive,
-  kAlways,    // speculate on every round
-};
-
-// Slice size (in ops) at or below which kAdaptive speculates.
-inline constexpr int64_t kSpeculativeSliceLimit = 64;
-
 struct DisputeOptions {
   int64_t partition_n = 2;         // N-way partition width
   uint64_t challenge_window = 100; // logical ticks
@@ -63,13 +42,12 @@ struct DisputeOptions {
   double challenger_share = 0.5;
   AdjudicationOptions adjudication;
   // Runtime policy (src/runtime/): with num_threads > 1 the phase-1 proposer and
-  // challenger executions run concurrently on the shared pool, per-round Merkle proof
-  // verification fans out, and every (re-)execution splits the loops of its operators
-  // of at least kMinForkFlops.
+  // challenger executions run concurrently on the shared pool, and every
+  // (re-)execution splits the loops of its operators of at least kMinForkFlops. A
+  // dispute plan itself is one sequential task.
   // Traces, verdicts, rounds, flops, and gas are identical for any value — the
   // protocol compares exact values and the runtime is bitwise deterministic.
   int num_threads = 1;
-  SpeculationPolicy speculation = SpeculationPolicy::kLazy;
 };
 
 struct RoundStats {

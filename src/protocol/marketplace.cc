@@ -33,7 +33,9 @@ Marketplace::Marketplace(const Model& model, const ModelCommitment& commitment,
   ModelCommitConfig commit_config;
   commit_config.coordinator_shards = config_.coordinator_shards;
   commit_config.durability = config_.durability;
-  registry_.Commit(model_id_, commitment, thresholds, commit_config);
+  TAO_CHECK(registry_.Commit(model_id_, commitment, thresholds, commit_config) ==
+            CommitStatus::kOk)
+      << "thresholds do not match the commitment's threshold root";
 }
 
 MarketplaceStats Marketplace::Run() {

@@ -30,12 +30,17 @@ ModelId ModelRegistry::Register(Model model) {
   return static_cast<ModelId>(entries_.size());
 }
 
-void ModelRegistry::Commit(ModelId id, ModelCommitment commitment,
-                           ThresholdSet thresholds, ModelCommitConfig config) {
+CommitStatus ModelRegistry::Commit(ModelId id, ModelCommitment commitment,
+                                   ThresholdSet thresholds, ModelCommitConfig config) {
+  // Hashed before taking the lock, so registry readers never wait on it.
+  const bool root_matches = thresholds.CommitRoot() == commitment.threshold_root();
   std::unique_lock<std::shared_mutex> lock(mu_);
   Entry& e = entry(id);
   TAO_CHECK(e.state == ModelLifecycle::kRegistered)
       << "model " << id << " cannot commit from state " << ModelLifecycleName(e.state);
+  if (!root_matches) {
+    return CommitStatus::kThresholdRootMismatch;
+  }
   e.commitment.emplace(std::move(commitment));
   e.thresholds.emplace(std::move(thresholds));
   // Per-model durability directory under the configured root; a coordinator never
@@ -49,6 +54,7 @@ void ModelRegistry::Commit(ModelId id, ModelCommitment commitment,
       std::make_unique<Coordinator>(config.gas, config.round_timeout,
                                     config.coordinator_shards, id, std::move(durability));
   e.state = ModelLifecycle::kCommitted;
+  return CommitStatus::kOk;
 }
 
 bool ModelRegistry::contains(ModelId id) const {

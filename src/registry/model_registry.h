@@ -61,6 +61,16 @@ enum class ModelLifecycle {
 
 const char* ModelLifecycleName(ModelLifecycle state);
 
+// What Commit decided. An illegal lifecycle transition is a protocol violation and
+// aborts instead.
+enum class CommitStatus {
+  kOk,
+  // The posted thresholds do not hash to the commitment's r_e, so claims would be
+  // judged against acceptance regions that were never committed. The model stays
+  // kRegistered: no coordinator, no durability directory.
+  kThresholdRootMismatch,
+};
+
 // Per-model coordinator configuration, fixed at Commit time (the shard count is the
 // model's resolve-lane parallelism; see docs/coordinator.md).
 struct ModelCommitConfig {
@@ -88,9 +98,10 @@ class ModelRegistry {
 
   // Phase 0b: the prover posts the Merkle commitment and calibrated thresholds;
   // the model's own coordinator shard group is created here, stamped with the
-  // model id. Legal only from kRegistered.
-  void Commit(ModelId id, ModelCommitment commitment, ThresholdSet thresholds,
-              ModelCommitConfig config = {});
+  // model id. Legal only from kRegistered. Rejects thresholds whose root is not the
+  // commitment's r_e.
+  CommitStatus Commit(ModelId id, ModelCommitment commitment, ThresholdSet thresholds,
+                      ModelCommitConfig config = {});
 
   // --- reads (any thread) -------------------------------------------------------------
   bool contains(ModelId id) const;

@@ -363,7 +363,7 @@ void SpinFor(std::chrono::milliseconds duration) {
   volatile uint64_t sink = 0;
   const auto deadline = std::chrono::steady_clock::now() + duration;
   while (std::chrono::steady_clock::now() < deadline) {
-    sink += 1;
+    sink = sink + 1;
   }
   (void)sink;
 }

@@ -19,11 +19,14 @@
 // The whole suite must run TSan-clean (CI runs it in the tsan job).
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -226,6 +229,42 @@ TEST_F(RegistryGatewayFixture, LifecycleRejectCodesAreDistinctPerState) {
   EXPECT_EQ(snapshot.rejected_not_serving, 1);
   EXPECT_EQ(snapshot.rejected_draining, 1);
   EXPECT_EQ(snapshot.rejected_retired, 1);
+}
+
+TEST_F(RegistryGatewayFixture, CommitRejectsThresholdsOffTheCommittedRoot) {
+  const CommittedModel& committed = (*models_)[0];
+  const std::vector<BatchClaim> claims =
+      MakeTestClaims(committed.model, 1, 0x11f4, /*cheat_rate=*/0.0,
+                     /*supervised_rate=*/0.0);
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      std::string("tao_registry_commit_").append(std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  ModelCommitConfig config;
+  config.durability.directory = root.string();
+  {
+    ModelRegistry registry;
+    ServingGateway gateway(registry);
+    const ModelId id = registry.Register(committed.model);
+    ASSERT_EQ(id, 1u);
+
+    // Thresholds that do not hash to r_e: rejected, and the model stays registered
+    // with no coordinator and no durability directory.
+    EXPECT_EQ(registry.Commit(id, *committed.commitment, committed.thresholds->Scaled(2.0),
+                              config),
+              CommitStatus::kThresholdRootMismatch);
+    EXPECT_EQ(registry.state(id), ModelLifecycle::kRegistered);
+    EXPECT_FALSE(std::filesystem::exists(root / "model-1"));
+    EXPECT_EQ(gateway.Submit(id, claims[0]).status, GatewayStatus::kNotCommitted);
+
+    // The committed pair is accepted.
+    EXPECT_EQ(registry.Commit(id, *committed.commitment, *committed.thresholds, config),
+              CommitStatus::kOk);
+    EXPECT_EQ(registry.state(id), ModelLifecycle::kCommitted);
+    EXPECT_EQ(registry.thresholds(id).CommitRoot(), committed.commitment->threshold_root());
+    EXPECT_TRUE(std::filesystem::exists(root / "model-1"));
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(RegistryGatewayFixture, DrainBeforeRetireDeliversEveryInFlightVerdict) {

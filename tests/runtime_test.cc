@@ -6,14 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/calib/calibrator.h"
 #include "src/graph/executor.h"
+#include "src/graph/subgraph.h"
 #include "src/models/model_zoo.h"
 #include "src/protocol/dispute.h"
 #include "src/protocol/multistep.h"
@@ -200,10 +201,10 @@ TEST(RuntimeDeterminismTest, ForkedOperatorInsideLaneTasksMatchesRunOutput) {
   const std::vector<DeviceProfile>& fleet = DeviceRegistry::Fleet();
   Rng rng(0x7a6);
   std::vector<std::vector<Tensor>> inputs;
-  std::vector<Tensor> expected;
+  std::vector<ExecutionTrace> expected;
   for (size_t i = 0; i < fleet.size(); ++i) {
     inputs.push_back(model.sample_input(rng));
-    expected.push_back(Executor(graph, fleet[i]).RunOutput(inputs.back()));
+    expected.push_back(Executor(graph, fleet[i]).Run(inputs.back()));
   }
   ASSERT_GE(inputs.size(), 3u);
   std::vector<Executor::BatchItem> items(inputs.size());
@@ -220,9 +221,29 @@ TEST(RuntimeDeterminismTest, ForkedOperatorInsideLaneTasksMatchesRunOutput) {
       const std::vector<ExecutionTrace> traces = exec.RunBatch(items, options);
       ASSERT_EQ(traces.size(), items.size());
       for (size_t i = 0; i < traces.size(); ++i) {
-        EXPECT_TRUE(BitwiseEqual(traces[i].value(graph.output()), expected[i]))
+        EXPECT_TRUE(BitwiseEqual(traces[i].value(graph.output()),
+                                 expected[i].value(graph.output())))
             << fleet[i].name << " lane diverged at num_threads=" << threads
             << " reuse=" << reuse;
+      }
+    }
+  }
+  // A dispute re-executes slices through ExecuteSlice, whose only fan-out is the same
+  // operator fork: the whole operator range, run from each lane's input, must
+  // reproduce that profile's full trace at every width.
+  const Slice all_ops{0, graph.num_ops()};
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    std::map<NodeId, Tensor> boundary;
+    for (size_t k = 0; k < inputs[i].size(); ++k) {
+      boundary.emplace(graph.input_nodes()[k], inputs[i][k]);
+    }
+    for (const int threads : {1, 2, 8}) {
+      const std::map<NodeId, Tensor> values =
+          ExecuteSlice(graph, fleet[i], all_ops, boundary, threads);
+      ASSERT_EQ(values.size(), static_cast<size_t>(graph.num_ops()));
+      for (const NodeId id : graph.op_nodes()) {
+        EXPECT_TRUE(BitwiseEqual(values.at(id), expected[i].value(id)))
+            << fleet[i].name << " slice op " << id << " diverged at num_threads=" << threads;
       }
     }
   }
@@ -290,7 +311,6 @@ TEST(RuntimeDeterminismTest, ParallelDisputeGameMatchesSequentialVerdict) {
     return game.Run(input, DeviceRegistry::ByName("H100"), DeviceRegistry::ByName("RTX4090"),
                     cheat);
   };
-  // kAdaptive speculates only when partition_n > 2, so N = 4 is where it engages.
   for (const int64_t n : {2, 4}) {
     DisputeOptions sequential;
     sequential.partition_n = n;
@@ -298,30 +318,19 @@ TEST(RuntimeDeterminismTest, ParallelDisputeGameMatchesSequentialVerdict) {
     ASSERT_TRUE(baseline.proposer_guilty) << "N=" << n;
     ASSERT_EQ(baseline.leaf_op, target) << "N=" << n;
 
-    for (const SpeculationPolicy policy :
-         {SpeculationPolicy::kLazy, SpeculationPolicy::kAdaptive, SpeculationPolicy::kAlways}) {
-      DisputeOptions options = sequential;
-      options.num_threads = 4;
-      options.speculation = policy;
-      const DisputeResult result = run(options);
-      // The runtime is bitwise deterministic, so every protocol-visible outcome —
-      // verdict, localization, round count, on-chain gas — matches the sequential game.
-      const std::string where =
-          "N=" + std::to_string(n) + " policy=" + std::to_string(static_cast<int>(policy));
-      EXPECT_EQ(result.proposer_guilty, baseline.proposer_guilty) << where;
-      EXPECT_EQ(result.leaf_op, baseline.leaf_op) << where;
-      EXPECT_EQ(result.final_state, baseline.final_state) << where;
-      EXPECT_EQ(result.rounds, baseline.rounds) << where;
-      EXPECT_EQ(result.total_merkle_checks, baseline.total_merkle_checks) << where;
-      EXPECT_EQ(result.gas_used, baseline.gas_used) << where;
-      if (policy == SpeculationPolicy::kLazy) {
-        // Lazy scheduling also performs the exact same amount of challenger work.
-        EXPECT_EQ(result.challenger_flops, baseline.challenger_flops) << where;
-      } else {
-        // Speculation may do extra (honestly accounted) work, never less.
-        EXPECT_GE(result.challenger_flops, baseline.challenger_flops) << where;
-      }
-    }
+    DisputeOptions options = sequential;
+    options.num_threads = 4;
+    const DisputeResult result = run(options);
+    // The runtime is bitwise deterministic, so every protocol-visible outcome —
+    // verdict, localization, round count, on-chain gas — and the challenger's work
+    // match the sequential game.
+    EXPECT_EQ(result.proposer_guilty, baseline.proposer_guilty) << "N=" << n;
+    EXPECT_EQ(result.leaf_op, baseline.leaf_op) << "N=" << n;
+    EXPECT_EQ(result.final_state, baseline.final_state) << "N=" << n;
+    EXPECT_EQ(result.rounds, baseline.rounds) << "N=" << n;
+    EXPECT_EQ(result.total_merkle_checks, baseline.total_merkle_checks) << "N=" << n;
+    EXPECT_EQ(result.gas_used, baseline.gas_used) << "N=" << n;
+    EXPECT_EQ(result.challenger_flops, baseline.challenger_flops) << "N=" << n;
   }
 }
 
