@@ -5,7 +5,8 @@
 // for every unordered device pair (Eq. 1-2), reduces them to percentile profiles over
 // the grid P (Eq. 3-4), and max-envelopes across pairs and inputs (Eq. 5-6). The
 // per-sample profile sequences are retained for the Appendix-B stability diagnostics,
-// and per-node mean errors for the Fig. 4 depth study.
+// and per-node mean errors for the Fig. 4 depth study. Device runs and per-operator
+// folds run on the shared pool; the result is bitwise the sequential one.
 
 #ifndef TAO_SRC_CALIB_CALIBRATOR_H_
 #define TAO_SRC_CALIB_CALIBRATOR_H_

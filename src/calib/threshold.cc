@@ -70,6 +70,12 @@ double ThresholdSet::MaxRatio(NodeId id, const Tensor& proposed, const Tensor& r
   const OpThreshold& tau = node(id);
   const std::vector<double> abs_profile = ComputeProfile(AbsErrors(proposed, reference));
   const std::vector<double> rel_profile = ComputeProfile(RelErrors(proposed, reference, eps));
+  // An infinite error (a NaN or infinite element against a different value; see
+  // AbsErrors) offends whatever the taus, however few such elements there are. The
+  // profile's p100 reads it as NaN (inf + 0 * (inf - inf)), or +inf for one element.
+  if (!std::isfinite(abs_profile.back())) {
+    return std::numeric_limits<double>::infinity();
+  }
   // Zero tau entries at low percentiles only record that the calibration error
   // distribution's lower tail touched zero; they impose no constraint (honest fresh
   // runs can have strictly positive minima). The exception is an operator whose

@@ -31,14 +31,15 @@ LeafVerdict AdjudicateLeaf(const Graph& graph, NodeId op_node,
   const auto tv = tau.values();
   bool exceeds_theoretical = false;
   for (size_t i = 0; i < yp.size(); ++i) {
-    const double diff = std::abs(static_cast<double>(yp[i]) - static_cast<double>(yr[i]));
-    if (tv[i] > 0.0) {
+    const double diff = AbsError(yp[i], yr[i]);
+    if (tv[i] > 0.0 && std::isfinite(diff)) {
       verdict.max_theo_ratio = std::max(verdict.max_theo_ratio, diff / tv[i]);
       if (diff > tv[i]) {
         exceeds_theoretical = true;
       }
     } else if (diff > 0.0) {
-      // Zero theoretical bound (exact operator) admits no deviation at all.
+      // Zero theoretical bound (exact operator) admits no deviation at all, and no
+      // bound admits a NaN or infinite one (AbsError reads it as +inf).
       verdict.max_theo_ratio = std::numeric_limits<double>::infinity();
       exceeds_theoretical = true;
     }

@@ -25,7 +25,7 @@ std::vector<double> AbsErrors(const Tensor& a, const Tensor& b) {
   const auto bv = b.values();
   std::vector<double> errors(av.size());
   for (size_t i = 0; i < av.size(); ++i) {
-    errors[i] = std::abs(static_cast<double>(av[i]) - static_cast<double>(bv[i]));
+    errors[i] = AbsError(av[i], bv[i]);
   }
   return errors;
 }
@@ -36,8 +36,10 @@ std::vector<double> RelErrors(const Tensor& a, const Tensor& b, double eps) {
   const auto bv = b.values();
   std::vector<double> errors(av.size());
   for (size_t i = 0; i < av.size(); ++i) {
-    const double diff = std::abs(static_cast<double>(av[i]) - static_cast<double>(bv[i]));
-    errors[i] = diff / (std::abs(static_cast<double>(av[i])) + eps);
+    const double diff = AbsError(av[i], bv[i]);
+    const double rel = diff / (std::abs(static_cast<double>(av[i])) + eps);
+    errors[i] = std::isnan(rel) ? (diff == 0.0 ? 0.0 : std::numeric_limits<double>::infinity())
+                                : rel;
   }
   return errors;
 }

@@ -9,6 +9,8 @@
 #ifndef TAO_SRC_TENSOR_TENSOR_H_
 #define TAO_SRC_TENSOR_TENSOR_H_
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -144,8 +146,21 @@ using ITensor = BasicTensor<int64_t>;
 // Element-wise maximum absolute difference between two same-shape tensors (in double).
 double MaxAbsDiff(const Tensor& a, const Tensor& b);
 
-// Flattened element-wise absolute and relative error vectors (Eq. 1-2); `eps` guards
-// division by zero in the relative error.
+// |a - b| in double, never NaN: equal values (equal infinities included) and two NaNs
+// differ by 0, and a NaN against anything else by +inf, so a non-finite deviation can
+// neither hide in a percentile profile nor slip under a bound.
+inline double AbsError(float a, float b) {
+  const double diff = std::abs(static_cast<double>(a) - static_cast<double>(b));
+  if (!std::isnan(diff)) {
+    return diff;
+  }
+  return a == b || (std::isnan(a) && std::isnan(b)) ? 0.0
+                                                     : std::numeric_limits<double>::infinity();
+}
+
+// Flattened element-wise absolute and relative error vectors (Eq. 1-2), element by
+// element as AbsError; `eps` guards division by zero in the relative error, whose
+// remaining NaN cases (0/0 and inf/inf) read 0 and +inf. Errors are never NaN.
 std::vector<double> AbsErrors(const Tensor& a, const Tensor& b);
 std::vector<double> RelErrors(const Tensor& a, const Tensor& b, double eps = 1e-12);
 

@@ -12,10 +12,14 @@ namespace tao {
 
 // Linear-interpolated percentile of `values` at p in [0, 100], matching numpy's default
 // ("linear") method, which is what the paper's calibration pipeline uses. `values` need
-// not be sorted; an internal copy is sorted. Empty input is a programming error.
+// not be sorted and are not modified. Empty input and NaN values are programming errors
+// (threshold checks never pass a NaN error; see AbsErrors).
 double Percentile(std::span<const double> values, double p);
 
-// Percentiles at many probes with a single sort.
+// Percentiles at many probes from one exact selection: only the (at most 2 * |ps|)
+// order statistics the probes interpolate between are located, by radix partitioning
+// of the values' order-preserving bit patterns, with no full sort. Every result is
+// bitwise the value a full sort would give. Keeps no state between calls.
 std::vector<double> Percentiles(std::span<const double> values, std::span<const double> ps);
 
 double Mean(std::span<const double> values);

@@ -2,7 +2,10 @@
 // scaling, Eq. 15 checks (honest runs pass, perturbed runs flag), cap-curve
 // properties, threshold commitments, and Appendix-B stability diagnostics.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +47,27 @@ Model* CalibFixture::model_ = nullptr;
 Calibration* CalibFixture::calibration_ = nullptr;
 ThresholdSet* CalibFixture::thresholds_ = nullptr;
 
+bool BitwiseEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// The grid profile by a full sort, the reduction `ComputeProfile`'s selection kernel
+// replaced (numpy's "linear" percentile).
+std::vector<double> SortedProfile(std::vector<double> errors) {
+  std::sort(errors.begin(), errors.end());
+  std::vector<double> profile;
+  for (const double p : PercentileGrid()) {
+    if (errors.size() == 1) {
+      profile.push_back(errors[0]);
+      continue;
+    }
+    const double rank = p / 100.0 * static_cast<double>(errors.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, errors.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    profile.push_back(errors[lo] + frac * (errors[hi] - errors[lo]));
+  }
+  return profile;
+}
+
 TEST(PercentileGridTest, MatchesPaperGrid) {
   const auto& grid = PercentileGrid();
   EXPECT_EQ(grid.front(), 0.0);
@@ -67,6 +91,81 @@ TEST(ProfileTest, MonotoneNondecreasing) {
   const auto profile = ComputeProfile(errors);
   for (size_t i = 1; i < profile.size(); ++i) {
     EXPECT_GE(profile[i], profile[i - 1]);
+  }
+}
+
+// Recomputes the fixture's calibration with one thread and sorted profiles, folding
+// samples in order and device pairs in (j, k) order. The pooled fold must match it bit
+// for bit in every field, including those r_e does not cover.
+TEST_F(CalibFixture, FoldMatchesSequentialSortedFold) {
+  const Graph& graph = *model_->graph;
+  const std::vector<DeviceProfile>& devices = DeviceRegistry::Fleet();
+  const CalibrateOptions defaults;
+  const size_t grid_size = PercentileGrid().size();
+  std::map<NodeId, NodeCalibration> expected;
+  for (const NodeId id : graph.op_nodes()) {
+    expected[id].abs_envelope.assign(grid_size, 0.0);
+    expected[id].rel_envelope.assign(grid_size, 0.0);
+  }
+  Rng rng(defaults.seed);
+  for (int s = 0; s < calibration_->num_samples; ++s) {
+    const std::vector<Tensor> input = model_->sample_input(rng);
+    std::vector<ExecutionTrace> traces;
+    for (const DeviceProfile& device : devices) {
+      traces.push_back(Executor(graph, device).Run(input));
+    }
+    for (const NodeId id : graph.op_nodes()) {
+      NodeCalibration& nc = expected.at(id);
+      std::vector<double> sample_abs(grid_size, 0.0);
+      std::vector<double> sample_rel(grid_size, 0.0);
+      double mean_acc = 0.0;
+      int pairs = 0;
+      for (size_t j = 0; j < devices.size(); ++j) {
+        for (size_t k = j + 1; k < devices.size(); ++k) {
+          const std::vector<double> abs_err = AbsErrors(traces[j].value(id), traces[k].value(id));
+          const std::vector<double> abs_profile = SortedProfile(abs_err);
+          const std::vector<double> rel_profile = SortedProfile(
+              RelErrors(traces[j].value(id), traces[k].value(id), defaults.rel_eps));
+          for (size_t g = 0; g < grid_size; ++g) {
+            sample_abs[g] = std::max(sample_abs[g], abs_profile[g]);
+            sample_rel[g] = std::max(sample_rel[g], rel_profile[g]);
+          }
+          double sum = 0.0;
+          for (const double e : abs_err) {
+            sum += e;
+          }
+          mean_acc += sum / static_cast<double>(abs_err.size());
+          ++pairs;
+        }
+      }
+      for (size_t g = 0; g < grid_size; ++g) {
+        nc.abs_envelope[g] = std::max(nc.abs_envelope[g], sample_abs[g]);
+        nc.rel_envelope[g] = std::max(nc.rel_envelope[g], sample_rel[g]);
+      }
+      nc.abs_profiles.push_back(std::move(sample_abs));
+      nc.rel_profiles.push_back(std::move(sample_rel));
+      nc.mean_abs_error += mean_acc / static_cast<double>(pairs);
+    }
+  }
+  ASSERT_EQ(calibration_->nodes.size(), expected.size());
+  const auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), BitwiseEqual);
+  };
+  for (auto& [id, want] : expected) {
+    const NodeCalibration& got = calibration_->nodes.at(id);
+    const std::string& label = graph.node(id).label;
+    EXPECT_TRUE(std::equal(got.abs_profiles.begin(), got.abs_profiles.end(),
+                           want.abs_profiles.begin(), want.abs_profiles.end(), same))
+        << label;
+    EXPECT_TRUE(std::equal(got.rel_profiles.begin(), got.rel_profiles.end(),
+                           want.rel_profiles.begin(), want.rel_profiles.end(), same))
+        << label;
+    EXPECT_TRUE(same(got.abs_envelope, want.abs_envelope)) << label;
+    EXPECT_TRUE(same(got.rel_envelope, want.rel_envelope)) << label;
+    const double want_mean = want.mean_abs_error / calibration_->num_samples;
+    EXPECT_TRUE(BitwiseEqual(got.mean_abs_error, want_mean))
+        << label << ": " << got.mean_abs_error << " vs " << want_mean;
   }
 }
 
@@ -135,6 +234,34 @@ TEST_F(CalibFixture, InjectedPerturbationExceedsThresholds) {
   EXPECT_FALSE(thresholds_->Exceeds(target, honest.value(target), reference.value(target)));
 }
 
+// A NaN or infinite output element has infinite error (AbsErrors), so no threshold
+// admits it, however few such elements there are. An output bitwise equal to the
+// reference, NaNs included, has zero error everywhere.
+TEST_F(CalibFixture, NonFiniteOutputFailsOutputCheck) {
+  Rng rng(0xbad);
+  const std::vector<Tensor> input = model_->sample_input(rng);
+  const NodeId out = model_->graph->output();
+  const Tensor reference =
+      Executor(*model_->graph, DeviceRegistry::ByName("A100")).RunOutput(input);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {nan, inf}) {
+    Tensor all_bad = Tensor::Full(reference.shape(), bad);
+    EXPECT_EQ(thresholds_->MaxRatio(out, all_bad, reference),
+              std::numeric_limits<double>::infinity())
+        << "all " << bad;
+    Tensor one_bad = reference.Clone();
+    one_bad.mutable_values()[reference.numel() / 2] = bad;
+    EXPECT_EQ(thresholds_->MaxRatio(out, one_bad, reference),
+              std::numeric_limits<double>::infinity())
+        << "one " << bad;
+    EXPECT_TRUE(thresholds_->Exceeds(out, one_bad, reference));
+    // The same tensor as its own reference: equal elements, NaN or not, have error 0.
+    EXPECT_EQ(thresholds_->MaxRatio(out, one_bad, one_bad.Clone()), 0.0) << bad;
+    EXPECT_EQ(thresholds_->MaxRatio(out, all_bad, all_bad.Clone()), 0.0) << bad;
+  }
+}
+
 TEST_F(CalibFixture, ScaledThresholdsLoosenChecks) {
   const ThresholdSet loose = thresholds_->Scaled(2.0);
   for (const auto id : model_->graph->op_nodes()) {
@@ -165,6 +292,34 @@ TEST_F(CalibFixture, CommitRootIsStableAndTamperEvident) {
   EXPECT_EQ(DigestToHex(root1), DigestToHex(root2));
   const ThresholdSet scaled = thresholds_->Scaled(1.0000001);
   EXPECT_NE(DigestToHex(scaled.CommitRoot()), DigestToHex(root1));
+}
+
+// The threshold root r_e of perfbench's three calibrations (3 samples on the fleet,
+// alpha 3), pinned before the selection kernel and the pooled fold replaced the sorted,
+// single-threaded calibration. A change that moves one moved a committed threshold.
+TEST(CalibrationRootTest, PinnedForPerfbenchModels) {
+  WideMlpConfig wide;
+  wide.input_dim = 16384;
+  wide.hidden_dim = 64;
+  wide.num_classes = 32;
+  const struct {
+    const char* name;
+    Model model;
+    const char* root;
+  } cases[] = {
+      {"bert-mini", BuildBertMini(),
+       "0916ab60785de1720b018032cf1a368375798feb828a557fd3fd9968c4285cbc"},
+      {"resnet-mini", BuildResNetMini(),
+       "fd484cfaf7b9f6d80c09546b230bde1875d847e111eb55e7ec3b6819c649fdfe"},
+      {"wide-mlp", BuildWideMlp(wide),
+       "644206beea3e777d2d8adff381af911afdaf2b1ed22e644bbae053556c51dfff"},
+  };
+  CalibrateOptions options;
+  options.num_samples = 3;
+  for (const auto& c : cases) {
+    const Calibration calibration = Calibrate(c.model, DeviceRegistry::Fleet(), options);
+    EXPECT_EQ(DigestToHex(calibration.MakeThresholds(3.0).CommitRoot()), c.root) << c.name;
+  }
 }
 
 TEST_F(CalibFixture, StabilityDiagnosticsSmallForHonestCalibration)

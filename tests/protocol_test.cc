@@ -4,6 +4,7 @@
 // spurious challenges, and round counts follow O(log_N |V|).
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -351,6 +352,31 @@ TEST_F(ProtocolFixture, PerturbationLocalizedToExactOperatorAndSlashed) {
   EXPECT_GT(result.gas_used, 1000000);
   EXPECT_GT(result.cost_ratio, 0.1);
   EXPECT_LT(result.cost_ratio, 3.0);
+}
+
+// A proposer whose mid-graph operator emits all NaN or all +inf must be challenged,
+// localized to that operator and convicted by the theoretical bound at the leaf, just
+// like a finite perturbation: a non-finite deviation has infinite error.
+TEST_F(ProtocolFixture, NonFiniteOutputLocalizedAndSlashed) {
+  const Graph& g = *model_->graph;
+  const NodeId target = g.op_nodes()[g.num_ops() / 2];
+  Rng rng(12);
+  const std::vector<Tensor> input = model_->sample_input(rng);
+  for (const float bad :
+       {std::numeric_limits<float>::quiet_NaN(), std::numeric_limits<float>::infinity()}) {
+    Coordinator coordinator;
+    DisputeOptions options;
+    options.partition_n = 2;
+    DisputeGame game(*model_, *commitment_, *thresholds_, coordinator, options);
+    const Tensor delta = Tensor::Full(g.node(target).shape, bad);
+    const DisputeResult result =
+        game.Run(input, DeviceRegistry::ByName("H100"), DeviceRegistry::ByName("A100"),
+                 {{target, delta}});
+    EXPECT_TRUE(result.challenge_raised) << bad;
+    EXPECT_EQ(result.final_state, ClaimState::kProposerSlashed) << bad;
+    EXPECT_EQ(result.leaf_op, target) << bad;
+    EXPECT_EQ(result.leaf.path, LeafPath::kTheoreticalBound) << bad;
+  }
 }
 
 TEST_F(ProtocolFixture, SpuriousChallengeSlashesChallenger) {

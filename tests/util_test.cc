@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "src/calib/threshold.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -130,6 +133,151 @@ TEST(StatsTest, PercentileIsMonotoneInP) {
     EXPECT_GE(cur, prev);
     prev = cur;
   }
+}
+
+// numpy's "linear" percentile by a full sort: the reference the selection kernel in
+// Percentiles must reproduce bit for bit.
+std::vector<double> SortedPercentiles(std::vector<double> values, std::span<const double> ps) {
+  std::sort(values.begin(), values.end());
+  std::vector<double> out;
+  for (const double p : ps) {
+    if (values.size() == 1) {
+      out.push_back(values[0]);
+      continue;
+    }
+    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    out.push_back(values[lo] + frac * (values[hi] - values[lo]));
+  }
+  return out;
+}
+
+// Compares Percentiles over the calibration grid, and Percentile at each grid point,
+// with the sorted reference by memcmp.
+void ExpectSelectionMatchesSort(const std::vector<double>& values, const std::string& what) {
+  const std::vector<double>& grid = PercentileGrid();
+  const std::vector<double> want = SortedPercentiles(values, grid);
+  const std::vector<double> got = Percentiles(values, grid);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t k = 0; k < grid.size(); ++k) {
+    const double single = Percentile(values, grid[k]);
+    EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+        << what << " n=" << values.size() << " p=" << grid[k] << ": " << got[k] << " vs "
+        << want[k];
+    EXPECT_EQ(std::memcmp(&single, &want[k], sizeof(double)), 0)
+        << what << " n=" << values.size() << " p=" << grid[k] << " (single probe)";
+  }
+}
+
+TEST(StatsTest, SelectionMatchesSortAcrossSizes) {
+  Rng rng(23);
+  for (const size_t n : {1, 2, 3, 47, 48, 49, 50, 1000, 5904, 100000}) {
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = std::abs(rng.NextGaussian()) * 1e-3;
+    }
+    ExpectSelectionMatchesSort(v, "abs gaussian");
+    for (double& x : v) {
+      x = rng.NextGaussian();
+    }
+    ExpectSelectionMatchesSort(v, "signed gaussian");
+  }
+}
+
+TEST(StatsTest, SelectionMatchesSortOnTiesAndZeros) {
+  for (const size_t n : {49, 1000, 5904}) {
+    ExpectSelectionMatchesSort(std::vector<double>(n, 0.25), "all equal");
+    ExpectSelectionMatchesSort(std::vector<double>(n, 0.0), "all zero");
+  }
+  Rng rng(29);
+  // 1001 values, so p50 is rank 500 exactly. 200 copies of 0.5 among 801 uniform
+  // values sit near ranks 400-600 (p45 to p55); 200 copies of 0.01 sit near ranks
+  // 8-208 (p1 to p20).
+  std::vector<double> ties(1001);
+  for (size_t i = 0; i < ties.size(); ++i) {
+    ties[i] = i < 200 ? 0.5 : rng.NextDouble();
+  }
+  ExpectSelectionMatchesSort(ties, "ties at p50");
+  for (size_t i = 0; i < 200; ++i) {
+    ties[i] = 0.01;
+  }
+  ExpectSelectionMatchesSort(ties, "ties at low ranks");
+  // 40% zeros: about a third of ResNet-mini's calibration errors are exactly zero.
+  for (const size_t n : {50, 1000, 100000}) {
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = rng.NextDouble() < 0.4 ? 0.0 : rng.NextDouble() * 1e-6;
+    }
+    ExpectSelectionMatchesSort(v, "40% zeros");
+  }
+}
+
+TEST(StatsTest, SelectionMatchesSortOnSpecialValues) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, denorm, 37 * denorm, -denorm,
+                             inf, -1.5, -1e300, 1e-310, 2.0};
+  Rng rng(31);
+  for (const size_t n : {2, 3, 48, 49, 1000, 5904}) {
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = rng.NextDouble() < 0.5 ? specials[rng.NextBounded(std::size(specials))]
+                                 : rng.NextGaussian();
+    }
+    ExpectSelectionMatchesSort(v, "specials");
+  }
+  // Signed zeros alone: the kernel orders -0.0 below +0.0, a sort in either order;
+  // the interpolation gives the same bits.
+  std::vector<double> zeros(1000);
+  for (double& x : zeros) {
+    x = rng.NextDouble() < 0.5 ? 0.0 : -0.0;
+  }
+  ExpectSelectionMatchesSort(zeros, "signed zeros");
+  ExpectSelectionMatchesSort(std::vector<double>(100, inf), "all +inf");
+}
+
+TEST(StatsTest, SelectionMatchesSortAcrossBinades) {
+  Rng rng(37);
+  for (const size_t n : {49, 1000, 100000}) {
+    std::vector<double> wide(n);
+    std::vector<double> narrow(n);
+    for (size_t i = 0; i < n; ++i) {
+      wide[i] = std::ldexp(1.0 + rng.NextDouble(), -static_cast<int>(rng.NextBounded(30)));
+      narrow[i] = 1.0 + rng.NextDouble();  // one binade, [1, 2)
+    }
+    ExpectSelectionMatchesSort(wide, "30 binades");
+    ExpectSelectionMatchesSort(narrow, "one binade");
+    for (size_t i = 0; i < n; ++i) {
+      narrow[i] = 1.0 + std::ldexp(static_cast<double>(rng.NextBounded(64)), -52);
+    }
+    ExpectSelectionMatchesSort(narrow, "64 adjacent doubles");
+  }
+}
+
+TEST(StatsTest, SelectionMatchesSortForManyProbes) {
+  // 101 probes need more order statistics than one selection tracks at a time.
+  Rng rng(41);
+  std::vector<double> v(1000);
+  for (double& x : v) {
+    x = rng.NextGaussian();
+  }
+  std::vector<double> ps;
+  for (int p = 0; p <= 100; ++p) {
+    ps.push_back(p);
+  }
+  const std::vector<double> want = SortedPercentiles(v, ps);
+  const std::vector<double> got = Percentiles(v, ps);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+}
+
+TEST(StatsTest, PercentileRejectsNaN) {
+  std::vector<double> v(100, 1.0);
+  v[37] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(Percentiles(v, PercentileGrid()), "NaN");
+  EXPECT_DEATH(Percentile(std::span<const double>(v).first(40), 50.0), "NaN");
 }
 
 TEST(StatsTest, MeanMedianStdDev) {
