@@ -24,6 +24,11 @@ MerkleTree::MerkleTree(std::vector<Digest> leaves) : leaf_count_(leaves.size()) 
   root_ = levels_.back()[0];
 }
 
+const Digest& MerkleTree::leaf(size_t index) const {
+  TAO_CHECK_LT(index, leaf_count_);
+  return levels_[0][index];
+}
+
 MerkleProof MerkleTree::ProveInclusion(size_t leaf_index) const {
   TAO_CHECK_LT(leaf_index, leaf_count_);
   MerkleProof proof;

@@ -36,6 +36,8 @@ class MerkleTree {
 
   const Digest& root() const { return root_; }
   size_t leaf_count() const { return leaf_count_; }
+  // The stored digest of leaf `index` (< leaf_count()).
+  const Digest& leaf(size_t index) const;
 
   MerkleProof ProveInclusion(size_t leaf_index) const;
 

@@ -19,30 +19,51 @@ std::vector<std::pair<std::string, NodeId>> SortedParams(const Graph& graph) {
   return params;
 }
 
-MerkleTree BuildWeightTree(const Graph& graph, std::map<NodeId, size_t>& index) {
+std::vector<Digest> WeightLeaves(const Graph& graph, std::map<NodeId, size_t>& index) {
   std::vector<Digest> leaves;
   for (const auto& [label, id] : SortedParams(graph)) {
     index[id] = leaves.size();
     leaves.push_back(HashTensor(graph.node(id).value));
   }
-  return MerkleTree(std::move(leaves));
+  return leaves;
 }
 
-MerkleTree BuildGraphTree(const Graph& graph, std::map<NodeId, size_t>& index) {
+std::vector<Digest> SignatureLeaves(const Graph& graph, std::map<NodeId, size_t>& index) {
   std::vector<Digest> leaves;
   for (const Node& node : graph.nodes()) {
     index[node.id] = leaves.size();
     leaves.push_back(HashSignature(graph.NodeSignature(node.id)));
   }
-  return MerkleTree(std::move(leaves));
+  return leaves;
+}
+
+bool SameLeaves(const MerkleTree& tree, const std::vector<Digest>& leaves) {
+  if (leaves.size() != tree.leaf_count()) {
+    return false;
+  }
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    if (leaves[i] != tree.leaf(i)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
 ModelCommitment::ModelCommitment(const Graph& graph, const ThresholdSet& thresholds)
-    : weight_tree_(BuildWeightTree(graph, weight_leaf_index_)),
-      graph_tree_(BuildGraphTree(graph, graph_leaf_index_)),
+    : weight_tree_(WeightLeaves(graph, weight_leaf_index_)),
+      graph_tree_(SignatureLeaves(graph, graph_leaf_index_)),
       threshold_root_(thresholds.CommitRoot()) {}
+
+bool ModelCommitment::Matches(const Graph& graph) const {
+  std::map<NodeId, size_t> weight_index;
+  std::map<NodeId, size_t> graph_index;
+  return SameLeaves(weight_tree_, WeightLeaves(graph, weight_index)) &&
+         weight_index == weight_leaf_index_ &&
+         SameLeaves(graph_tree_, SignatureLeaves(graph, graph_index)) &&
+         graph_index == graph_leaf_index_;
+}
 
 size_t ModelCommitment::WeightLeafIndex(NodeId id) const {
   const auto it = weight_leaf_index_.find(id);
@@ -64,16 +85,18 @@ MerkleProof ModelCommitment::ProveSignature(NodeId id) const {
   return graph_tree_.ProveInclusion(GraphLeafIndex(id));
 }
 
-bool ModelCommitment::VerifyWeight(const Graph& graph, NodeId id,
+bool ModelCommitment::VerifyWeight(const Graph& /*graph*/, NodeId id,
                                    const MerkleProof& proof) const {
-  return MerkleTree::VerifyInclusion(weight_tree_.root(), HashTensor(graph.node(id).value),
-                                     proof);
+  const auto it = weight_leaf_index_.find(id);
+  return it != weight_leaf_index_.end() &&
+         MerkleTree::VerifyInclusion(weight_tree_.root(), weight_tree_.leaf(it->second), proof);
 }
 
-bool ModelCommitment::VerifySignature(const Graph& graph, NodeId id,
+bool ModelCommitment::VerifySignature(const Graph& /*graph*/, NodeId id,
                                       const MerkleProof& proof) const {
-  return MerkleTree::VerifyInclusion(graph_tree_.root(),
-                                     HashSignature(graph.NodeSignature(id)), proof);
+  const auto it = graph_leaf_index_.find(id);
+  return it != graph_leaf_index_.end() &&
+         MerkleTree::VerifyInclusion(graph_tree_.root(), graph_tree_.leaf(it->second), proof);
 }
 
 std::string ResultMeta::Canonical() const {

@@ -32,9 +32,17 @@ class ModelCommitment {
   size_t WeightLeafIndex(NodeId id) const;
   size_t GraphLeafIndex(NodeId id) const;
 
+  // True when `graph` re-derives every stored leaf: the same weight and signature
+  // digests, in the same count and order, at the same node ids. This hashes the whole
+  // artifact; ModelRegistry::Commit runs it once per model.
+  bool Matches(const Graph& graph) const;
+
   MerkleProof ProveWeight(NodeId id) const;
   MerkleProof ProveSignature(NodeId id) const;
 
+  // Check `proof` from the STORED leaf digest of `id` up to r_w / r_g; false for a node
+  // with no leaf in that tree. Nothing is re-hashed and `graph` is not read: it must be
+  // the artifact the commitment was built from or matched at Commit.
   bool VerifyWeight(const Graph& graph, NodeId id, const MerkleProof& proof) const;
   bool VerifySignature(const Graph& graph, NodeId id, const MerkleProof& proof) const;
 

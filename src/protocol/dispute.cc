@@ -167,7 +167,9 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
 
     // -- Challenger: verify proofs, re-execute children in order, select offender ----
     // Every posted proof is checked, so the metered count is the (deterministic)
-    // proof total, independent of where selection stops.
+    // proof total, independent of where selection stops. Each path is checked from
+    // the commitment's stored leaf: the graph was bound to it when it was built or at
+    // ModelRegistry::Commit, so no round re-hashes a weight or a signature.
     Stopwatch selection_watch;
     for (const ChildRecord& record : records) {
       for (size_t i = 0; i < record.weight_proofs.size(); ++i) {
@@ -184,6 +186,7 @@ DisputeResult PlanDispute(const Model& model, const ModelCommitment& commitment,
                                                   record.signature_proofs.size());
     }
     result.total_merkle_checks += round.merkle_proofs;
+    round.proof_check_ms = selection_watch.ElapsedMillis();
 
     int64_t selected = -1;
     for (size_t j = 0; j < records.size(); ++j) {

@@ -63,6 +63,8 @@ struct RoundStats {
   int64_t reexec_flops = 0;
   double proposer_partition_ms = 0.0;
   double challenger_selection_ms = 0.0;
+  // The Merkle proof checks' share of challenger_selection_ms.
+  double proof_check_ms = 0.0;
 };
 
 struct DisputeResult {

@@ -22,6 +22,18 @@ const char* ModelLifecycleName(ModelLifecycle state) {
   return "unknown";
 }
 
+const char* CommitStatusName(CommitStatus status) {
+  switch (status) {
+    case CommitStatus::kOk:
+      return "ok";
+    case CommitStatus::kThresholdRootMismatch:
+      return "threshold root mismatch";
+    case CommitStatus::kArtifactMismatch:
+      return "artifact mismatch";
+  }
+  return "unknown";
+}
+
 ModelId ModelRegistry::Register(Model model) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto entry = std::make_unique<Entry>();
@@ -32,14 +44,19 @@ ModelId ModelRegistry::Register(Model model) {
 
 CommitStatus ModelRegistry::Commit(ModelId id, ModelCommitment commitment,
                                    ThresholdSet thresholds, ModelCommitConfig config) {
-  // Hashed before taking the lock, so registry readers never wait on it.
+  // Hashed before taking the exclusive lock, so registry readers never wait on it;
+  // the model is immutable from Register on.
   const bool root_matches = thresholds.CommitRoot() == commitment.threshold_root();
+  const bool artifact_matches = commitment.Matches(*model(id).graph);
   std::unique_lock<std::shared_mutex> lock(mu_);
   Entry& e = entry(id);
   TAO_CHECK(e.state == ModelLifecycle::kRegistered)
       << "model " << id << " cannot commit from state " << ModelLifecycleName(e.state);
   if (!root_matches) {
     return CommitStatus::kThresholdRootMismatch;
+  }
+  if (!artifact_matches) {
+    return CommitStatus::kArtifactMismatch;
   }
   e.commitment.emplace(std::move(commitment));
   e.thresholds.emplace(std::move(thresholds));

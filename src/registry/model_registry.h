@@ -69,7 +69,13 @@ enum class CommitStatus {
   // judged against acceptance regions that were never committed. The model stays
   // kRegistered: no coordinator, no durability directory.
   kThresholdRootMismatch,
+  // The registered graph does not re-derive the commitment's weight and signature
+  // leaves (ModelCommitment::Matches), so dispute rounds would check proofs against
+  // an artifact the model does not have. The model stays kRegistered, as above.
+  kArtifactMismatch,
 };
+
+const char* CommitStatusName(CommitStatus status);
 
 // Per-model coordinator configuration, fixed at Commit time (the shard count is the
 // model's resolve-lane parallelism; see docs/coordinator.md).
@@ -99,7 +105,9 @@ class ModelRegistry {
   // Phase 0b: the prover posts the Merkle commitment and calibrated thresholds;
   // the model's own coordinator shard group is created here, stamped with the
   // model id. Legal only from kRegistered. Rejects thresholds whose root is not the
-  // commitment's r_e.
+  // commitment's r_e, then a commitment the registered graph does not match. Both are
+  // hashed here, once per model, outside the registry lock; dispute rounds then check
+  // every proof from the commitment's stored leaves.
   CommitStatus Commit(ModelId id, ModelCommitment commitment, ThresholdSet thresholds,
                       ModelCommitConfig config = {});
 

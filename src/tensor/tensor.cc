@@ -11,7 +11,7 @@ double MaxAbsDiff(const Tensor& a, const Tensor& b) {
   const auto av = a.values();
   const auto bv = b.values();
   for (size_t i = 0; i < av.size(); ++i) {
-    const double d = std::abs(static_cast<double>(av[i]) - static_cast<double>(bv[i]));
+    const double d = AbsError(av[i], bv[i]);
     if (d > max_diff) {
       max_diff = d;
     }

@@ -143,7 +143,8 @@ using Tensor = BasicTensor<float>;
 using DTensor = BasicTensor<double>;
 using ITensor = BasicTensor<int64_t>;
 
-// Element-wise maximum absolute difference between two same-shape tensors (in double).
+// Element-wise maximum absolute difference between two same-shape tensors (in double),
+// element by element as AbsError: a NaN against a non-NaN reads +inf, never 0.
 double MaxAbsDiff(const Tensor& a, const Tensor& b);
 
 // |a - b| in double, never NaN: equal values (equal infinities included) and two NaNs

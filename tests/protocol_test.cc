@@ -3,8 +3,10 @@
 // are localized to the exact injected operator and slashed, honest proposers survive
 // spurious challenges, and round counts follow O(log_N |V|).
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -64,9 +66,33 @@ TEST_F(ProtocolFixture, SignatureProofsVerify) {
 }
 
 TEST_F(ProtocolFixture, WrongProofNodeFailsVerification) {
-  const NodeId a = model_->graph->param_nodes()[0];
-  const NodeId b = model_->graph->param_nodes()[1];
-  EXPECT_FALSE(commitment_->VerifyWeight(*model_->graph, b, commitment_->ProveWeight(a)));
+  const Graph& g = *model_->graph;
+  const NodeId a = g.param_nodes()[0];
+  const NodeId b = g.param_nodes()[1];
+  EXPECT_FALSE(commitment_->VerifyWeight(g, b, commitment_->ProveWeight(a)));
+
+  // A path with one flipped sibling byte fails in both trees, at every level.
+  const NodeId op = g.op_nodes()[static_cast<size_t>(g.num_ops() / 2)];
+  MerkleProof weight = commitment_->ProveWeight(a);
+  MerkleProof signature = commitment_->ProveSignature(op);
+  ASSERT_FALSE(weight.path.empty());
+  ASSERT_FALSE(signature.path.empty());
+  const auto flip = [](MerkleProof& proof, size_t level) {
+    Digest& sibling = proof.path[level].sibling;
+    sibling[level % sibling.size()] ^= 0x01;
+  };
+  for (size_t level = 0; level < weight.path.size(); ++level) {
+    flip(weight, level);
+    EXPECT_FALSE(commitment_->VerifyWeight(g, a, weight)) << "level " << level;
+    flip(weight, level);
+  }
+  for (size_t level = 0; level < signature.path.size(); ++level) {
+    flip(signature, level);
+    EXPECT_FALSE(commitment_->VerifySignature(g, op, signature)) << "level " << level;
+    flip(signature, level);
+  }
+  EXPECT_TRUE(commitment_->VerifyWeight(g, a, weight));
+  EXPECT_TRUE(commitment_->VerifySignature(g, op, signature));
 }
 
 TEST_F(ProtocolFixture, ResultCommitmentBindsOutput) {
@@ -422,6 +448,59 @@ TEST_F(ProtocolFixture, WiderPartitionReducesRounds) {
     (n == 2 ? rounds_n2 : rounds_n8) = result.rounds;
   }
   EXPECT_LT(rounds_n8, rounds_n2);
+}
+
+// Pins the dispute game's metering on the fixture's BERT-mini, H100 proposer against
+// RTX4090 challenger: at N = 2 and N = 4, three perturbation sites each, the rounds,
+// each round's Merkle proof count, their total, the gas, the leaf and the bits of the
+// cost ratio. They depend on which proofs are posted, not on how a proof is checked,
+// so a change to proof verification must leave every one of them as it is.
+TEST_F(ProtocolFixture, DisputeMeteringPinnedAcrossPartitionWidths) {
+  struct Pinned {
+    int64_t partition_n;
+    int64_t site;  // index into op_nodes()
+    int64_t rounds;
+    std::vector<int64_t> merkle_proofs;  // per round
+    int64_t total_merkle_checks;
+    int64_t gas_used;
+    NodeId leaf_op;
+    uint64_t cost_ratio_bits;
+  };
+  const Pinned pinned[] = {
+      {2, 24, 6, {175, 90, 44, 21, 12, 5}, 347, 1540900, 44, 0x3feb2a863873a06du},
+      {2, 49, 6, {175, 90, 46, 24, 14, 7}, 356, 1540900, 90, 0x3ff346d13d1f3e4au},
+      {2, 74, 6, {175, 85, 46, 28, 16, 9}, 359, 1540900, 136, 0x3ff7ce6348e3d923u},
+      {4, 24, 3, {175, 44, 12}, 231, 1334800, 44, 0x3fe0d276cccc1a12u},
+      {4, 49, 3, {175, 46, 14}, 235, 1334800, 90, 0x3fea9ae693ce5652u},
+      {4, 74, 3, {175, 46, 16}, 237, 1334800, 136, 0x3ff2fcc2ec3a0414u},
+  };
+  const Graph& g = *model_->graph;
+  Rng rng(15);
+  const std::vector<Tensor> input = model_->sample_input(rng);
+  for (const Pinned& p : pinned) {
+    const NodeId target = g.op_nodes()[static_cast<size_t>(p.site)];
+    Rng delta_rng(0xde17a + static_cast<uint64_t>(p.site));
+    const Tensor delta = Tensor::Randn(g.node(target).shape, delta_rng, 5e-2f);
+    Coordinator coordinator;
+    DisputeOptions options;
+    options.partition_n = p.partition_n;
+    DisputeGame game(*model_, *commitment_, *thresholds_, coordinator, options);
+    const DisputeResult result = game.Run(input, DeviceRegistry::ByName("H100"),
+                                          DeviceRegistry::ByName("RTX4090"), {{target, delta}});
+    SCOPED_TRACE("N = " + std::to_string(p.partition_n) + ", site " + std::to_string(p.site));
+    EXPECT_EQ(result.final_state, ClaimState::kProposerSlashed);
+    EXPECT_EQ(result.leaf_op, target);
+    EXPECT_EQ(result.rounds, p.rounds);
+    std::vector<int64_t> merkle_proofs;
+    for (const RoundStats& round : result.round_stats) {
+      merkle_proofs.push_back(round.merkle_proofs);
+    }
+    EXPECT_EQ(merkle_proofs, p.merkle_proofs);
+    EXPECT_EQ(result.total_merkle_checks, p.total_merkle_checks);
+    EXPECT_EQ(result.gas_used, p.gas_used);
+    EXPECT_EQ(result.leaf_op, p.leaf_op);
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.cost_ratio), p.cost_ratio_bits);
+  }
 }
 
 TEST_F(ProtocolFixture, GasMatchesScheduleDecomposition) {

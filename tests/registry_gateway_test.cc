@@ -40,14 +40,16 @@ namespace {
 // Small zoo variants: the sweep runs 3 models x 2 shard configs x claims, so the
 // minis are scaled below their defaults to keep the suite fast. Structure (op mix,
 // attention/conv/norm kinds) is what the routing equivalence exercises, not width.
-Model BuildSmallBert() {
+BertConfig SmallBertConfig() {
   BertConfig config;
   config.seq_len = 12;
   config.dim = 32;
   config.ffn_dim = 64;
   config.layers = 2;
-  return BuildBertMini(config);
+  return config;
 }
+
+Model BuildSmallBert() { return BuildBertMini(SmallBertConfig()); }
 
 Model BuildSmallQwen() {
   QwenConfig config;
@@ -255,6 +257,24 @@ TEST_F(RegistryGatewayFixture, CommitRejectsThresholdsOffTheCommittedRoot) {
               CommitStatus::kThresholdRootMismatch);
     EXPECT_EQ(registry.state(id), ModelLifecycle::kRegistered);
     EXPECT_FALSE(std::filesystem::exists(root / "model-1"));
+    EXPECT_EQ(gateway.Submit(id, claims[0]).status, GatewayStatus::kNotCommitted);
+
+    // Commitments to other artifacts, over the same thresholds: the same BERT with
+    // other weights (the weight leaves differ), and one layer more (the leaf counts
+    // and signatures differ). Both are rejected the same way.
+    BertConfig reseeded = SmallBertConfig();
+    reseeded.seed += 1;
+    BertConfig deeper = SmallBertConfig();
+    deeper.layers = 3;
+    for (const BertConfig& other : {reseeded, deeper}) {
+      const Model model = BuildBertMini(other);
+      EXPECT_EQ(registry.Commit(id, ModelCommitment(*model.graph, *committed.thresholds),
+                                *committed.thresholds, config),
+                CommitStatus::kArtifactMismatch)
+          << "layers " << other.layers << ", seed " << other.seed;
+      EXPECT_EQ(registry.state(id), ModelLifecycle::kRegistered);
+      EXPECT_FALSE(std::filesystem::exists(root / "model-1"));
+    }
     EXPECT_EQ(gateway.Submit(id, claims[0]).status, GatewayStatus::kNotCommitted);
 
     // The committed pair is accepted.

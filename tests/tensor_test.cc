@@ -1,5 +1,7 @@
 // Unit tests for Shape and Tensor.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/tensor/shape.h"
@@ -101,6 +103,26 @@ TEST(TensorTest, MaxAbsDiffAndErrors) {
   EXPECT_DOUBLE_EQ(abs_err[1], 0.5);
   const auto rel_err = RelErrors(a, b);
   EXPECT_NEAR(rel_err[1], 0.5, 1e-9);
+}
+
+// A NaN on one side is an infinite difference, not none: equality checks written as
+// MaxAbsDiff(a, b) == 0 must not pass a divergence that yields NaN.
+TEST(TensorTest, MaxAbsDiffReadsNonFiniteValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto diff = [](float a, float b) {
+    return MaxAbsDiff(Tensor::Full(Shape{1}, a), Tensor::Full(Shape{1}, b));
+  };
+  EXPECT_EQ(diff(nan, 1.0f), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(diff(1.0f, nan), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(diff(nan, nan), 0.0);
+  EXPECT_EQ(diff(inf, inf), 0.0);
+  EXPECT_EQ(diff(inf, -inf), std::numeric_limits<double>::infinity());
+  // One NaN element among equal ones still dominates.
+  Tensor a = Tensor::Full(Shape{4}, 2.0f);
+  Tensor b = a.Clone();
+  b.mutable_values()[2] = nan;
+  EXPECT_EQ(MaxAbsDiff(a, b), std::numeric_limits<double>::infinity());
 }
 
 TEST(TensorTest, UniformWithinRange) {
