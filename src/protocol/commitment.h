@@ -33,7 +33,9 @@ class ModelCommitment {
   size_t GraphLeafIndex(NodeId id) const;
 
   // True when `graph` re-derives every stored leaf: the same weight and signature
-  // digests, in the same count and order, at the same node ids. This hashes the whole
+  // digests, in the same count and order. Node ids are bound through the signature
+  // leaves: an id is a position in nodes() and its leaf hashes that node's label and
+  // kind, so equal leaves also give both leaf-index maps. This hashes the whole
   // artifact; ModelRegistry::Commit runs it once per model.
   bool Matches(const Graph& graph) const;
 

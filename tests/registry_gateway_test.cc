@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -50,6 +51,33 @@ BertConfig SmallBertConfig() {
 }
 
 Model BuildSmallBert() { return BuildBertMini(SmallBertConfig()); }
+
+// A node-for-node copy of `graph` whose softmax operators name `axis` in their attrs:
+// the same weights and, for an axis equal to the last, the same computation, under
+// other operator signatures.
+Graph WithSoftmaxAxis(const Graph& graph, int64_t axis) {
+  Graph copy;
+  for (const Node& node : graph.nodes()) {
+    switch (node.kind) {
+      case NodeKind::kInput:
+        copy.AddInput(node.label, node.shape);
+        break;
+      case NodeKind::kParam:
+        copy.AddParam(node.label, node.value);
+        break;
+      case NodeKind::kOp: {
+        Attrs attrs = node.attrs;
+        if (node.op == "softmax") {
+          attrs.Set("axis", axis);
+        }
+        copy.AddOp(node.op, node.label, node.inputs, std::move(attrs));
+        break;
+      }
+    }
+  }
+  copy.SetOutput(graph.output());
+  return copy;
+}
 
 Model BuildSmallQwen() {
   QwenConfig config;
@@ -260,18 +288,26 @@ TEST_F(RegistryGatewayFixture, CommitRejectsThresholdsOffTheCommittedRoot) {
     EXPECT_EQ(gateway.Submit(id, claims[0]).status, GatewayStatus::kNotCommitted);
 
     // Commitments to other artifacts, over the same thresholds: the same BERT with
-    // other weights (the weight leaves differ), and one layer more (the leaf counts
-    // and signatures differ). Both are rejected the same way.
+    // other weights (only the weight leaves differ), with its softmax axis written 2
+    // instead of -1 (the same computation; only the signature leaves differ), and with
+    // one layer more (the leaf counts differ). Each is rejected the same way.
     BertConfig reseeded = SmallBertConfig();
     reseeded.seed += 1;
     BertConfig deeper = SmallBertConfig();
     deeper.layers = 3;
-    for (const BertConfig& other : {reseeded, deeper}) {
-      const Model model = BuildBertMini(other);
-      EXPECT_EQ(registry.Commit(id, ModelCommitment(*model.graph, *committed.thresholds),
-                                *committed.thresholds, config),
+    const Graph rewired = WithSoftmaxAxis(*committed.model.graph, 2);
+    std::vector<std::pair<std::string, ModelCommitment>> others;
+    others.emplace_back("reseeded",
+                        ModelCommitment(*BuildBertMini(reseeded).graph, *committed.thresholds));
+    others.emplace_back("softmax axis 2", ModelCommitment(rewired, *committed.thresholds));
+    others.emplace_back("3 layers",
+                        ModelCommitment(*BuildBertMini(deeper).graph, *committed.thresholds));
+    ASSERT_EQ(others[1].second.weight_root(), committed.commitment->weight_root());
+    ASSERT_NE(others[1].second.graph_root(), committed.commitment->graph_root());
+    for (const auto& [name, other] : others) {
+      EXPECT_EQ(registry.Commit(id, other, *committed.thresholds, config),
                 CommitStatus::kArtifactMismatch)
-          << "layers " << other.layers << ", seed " << other.seed;
+          << name;
       EXPECT_EQ(registry.state(id), ModelLifecycle::kRegistered);
       EXPECT_FALSE(std::filesystem::exists(root / "model-1"));
     }
