@@ -19,7 +19,7 @@ std::vector<std::pair<std::string, NodeId>> SortedParams(const Graph& graph) {
   return params;
 }
 
-// Each leaf builder also records every node's leaf position in `index` when one is given.
+// Also records each parameter's leaf position in `index` when one is given.
 std::vector<Digest> WeightLeaves(const Graph& graph, std::map<NodeId, size_t>* index) {
   std::vector<Digest> leaves;
   for (const auto& [label, id] : SortedParams(graph)) {
@@ -31,12 +31,10 @@ std::vector<Digest> WeightLeaves(const Graph& graph, std::map<NodeId, size_t>* i
   return leaves;
 }
 
-std::vector<Digest> SignatureLeaves(const Graph& graph, std::map<NodeId, size_t>* index) {
+// One leaf per node, at the node's id (ids are positions in nodes()).
+std::vector<Digest> SignatureLeaves(const Graph& graph) {
   std::vector<Digest> leaves;
   for (const Node& node : graph.nodes()) {
-    if (index != nullptr) {
-      (*index)[node.id] = leaves.size();
-    }
     leaves.push_back(HashSignature(graph.NodeSignature(node.id)));
   }
   return leaves;
@@ -58,12 +56,12 @@ bool SameLeaves(const MerkleTree& tree, const std::vector<Digest>& leaves) {
 
 ModelCommitment::ModelCommitment(const Graph& graph, const ThresholdSet& thresholds)
     : weight_tree_(WeightLeaves(graph, &weight_leaf_index_)),
-      graph_tree_(SignatureLeaves(graph, &graph_leaf_index_)),
+      graph_tree_(SignatureLeaves(graph)),
       threshold_root_(thresholds.CommitRoot()) {}
 
 bool ModelCommitment::Matches(const Graph& graph) const {
   return SameLeaves(weight_tree_, WeightLeaves(graph, nullptr)) &&
-         SameLeaves(graph_tree_, SignatureLeaves(graph, nullptr));
+         SameLeaves(graph_tree_, SignatureLeaves(graph));
 }
 
 size_t ModelCommitment::WeightLeafIndex(NodeId id) const {
@@ -73,9 +71,12 @@ size_t ModelCommitment::WeightLeafIndex(NodeId id) const {
 }
 
 size_t ModelCommitment::GraphLeafIndex(NodeId id) const {
-  const auto it = graph_leaf_index_.find(id);
-  TAO_CHECK(it != graph_leaf_index_.end()) << "unknown node " << id;
-  return it->second;
+  TAO_CHECK(HasGraphLeaf(id)) << "unknown node " << id;
+  return static_cast<size_t>(id);
+}
+
+bool ModelCommitment::HasGraphLeaf(NodeId id) const {
+  return id >= 0 && static_cast<size_t>(id) < graph_tree_.leaf_count();
 }
 
 MerkleProof ModelCommitment::ProveWeight(NodeId id) const {
@@ -95,9 +96,9 @@ bool ModelCommitment::VerifyWeight(const Graph& /*graph*/, NodeId id,
 
 bool ModelCommitment::VerifySignature(const Graph& /*graph*/, NodeId id,
                                       const MerkleProof& proof) const {
-  const auto it = graph_leaf_index_.find(id);
-  return it != graph_leaf_index_.end() &&
-         MerkleTree::VerifyInclusion(graph_tree_.root(), graph_tree_.leaf(it->second), proof);
+  return HasGraphLeaf(id) &&
+         MerkleTree::VerifyInclusion(graph_tree_.root(), graph_tree_.leaf(static_cast<size_t>(id)),
+                                     proof);
 }
 
 std::string ResultMeta::Canonical() const {

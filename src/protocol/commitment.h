@@ -35,8 +35,8 @@ class ModelCommitment {
   // True when `graph` re-derives every stored leaf: the same weight and signature
   // digests, in the same count and order. Node ids are bound through the signature
   // leaves: an id is a position in nodes() and its leaf hashes that node's label and
-  // kind, so equal leaves also give both leaf-index maps. This hashes the whole
-  // artifact; ModelRegistry::Commit runs it once per model.
+  // kind, so equal leaves also give every node the same leaf index. This hashes the
+  // whole artifact; ModelRegistry::Commit runs it once per model.
   bool Matches(const Graph& graph) const;
 
   MerkleProof ProveWeight(NodeId id) const;
@@ -49,12 +49,13 @@ class ModelCommitment {
   bool VerifySignature(const Graph& graph, NodeId id, const MerkleProof& proof) const;
 
  private:
-  // Note: the index maps are populated by the tree builders during member
-  // initialization, so they must be declared (and thus constructed) first.
+  bool HasGraphLeaf(NodeId id) const;
+
+  // Note: the index map is populated by the weight-tree builder during member
+  // initialization, so it must be declared (and thus constructed) first.
   std::map<NodeId, size_t> weight_leaf_index_;
-  std::map<NodeId, size_t> graph_leaf_index_;
   MerkleTree weight_tree_;
-  MerkleTree graph_tree_;
+  MerkleTree graph_tree_;  // one leaf per node, at the node's id
   Digest threshold_root_;
 };
 

@@ -93,6 +93,11 @@ TEST_F(ProtocolFixture, WrongProofNodeFailsVerification) {
   }
   EXPECT_TRUE(commitment_->VerifyWeight(g, a, weight));
   EXPECT_TRUE(commitment_->VerifySignature(g, op, signature));
+
+  // A node with no leaf in the tree fails instead of reading past the stored leaves.
+  EXPECT_FALSE(commitment_->VerifyWeight(g, op, weight));
+  EXPECT_FALSE(commitment_->VerifySignature(g, static_cast<NodeId>(g.num_nodes()), signature));
+  EXPECT_FALSE(commitment_->VerifySignature(g, -1, signature));
 }
 
 TEST_F(ProtocolFixture, ResultCommitmentBindsOutput) {
